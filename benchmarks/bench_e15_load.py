@@ -29,6 +29,19 @@ time-slice the same core as the baseline thread pool, so the gate is
 reported but not enforced (there is no parallel speedup to measure —
 the run still validates transport, shedding, and aggregation).
 
+**Smoke gate** (2 shards on a 2-CPU host): the sharded tier should
+sustain **>= 1.5x** the baseline at equal-or-better p99.  It is
+reported, not enforced: most clean runs clear it, but a run that
+starts after the host sat idle calibrates its offered rate ~7x low
+(the calibrating process's 2-thread BLAS runs ~9x slower for about a
+second after an idle spell on the measured host), so the sharded
+tier is never saturated and reads ~1.2x; and the baseline alone
+swings ~2x run to run.
+
+Each shard worker budgets its OpenBLAS pools to usable CPUs // shards
+threads (see :func:`repro.serve.shard.blas_budget`); the telemetry
+manifest records the front-end's and every shard's thread counts.
+
 **Always checked, both modes**: the front-end's merged ``/snapshot``
 (served over HTTP by :meth:`ShardRouter.serve_metrics`) is
 bit-identical to :func:`repro.obs.merge_snapshots` over the individual
@@ -80,6 +93,7 @@ from repro.serve import (
     ShardRejected,
     ShardRouter,
 )
+from repro.serve.shard import blas_threads
 
 SEED = 20_250
 WARM_TASKS = ["roadside_hazards", "cargo_audit", "valve_inspection"]
@@ -88,6 +102,7 @@ COLD_FRACTION = 0.05
 OVERLOAD_FACTOR = 4.0
 TARGET_SPEEDUP = 3.0
 MIN_GATE_CPUS = 4
+SMOKE_TARGET_SPEEDUP = 1.5
 
 
 class SessionFactory:
@@ -308,6 +323,8 @@ def run_experiment(smoke: bool = False, shards: int = None):
         start_method="fork",
     )
     router = ShardRouter(factory, shard_config)
+    blas = {"front_end": blas_threads(),
+            "shards": [info["blas_threads"] for info in router.shard_info()]}
     try:
         sharded = run_open_loop(router, scenes, schedule, "sharded")
         sharded["shards"] = shards
@@ -334,6 +351,7 @@ def run_experiment(smoke: bool = False, shards: int = None):
             "cpus": os.cpu_count(),
             "speedup": speedup,
         }],
+        "blas_threads": blas,
     }
     return tables, merged
 
@@ -342,6 +360,9 @@ def _print_results(tables) -> None:
     print_table("E15: open-loop workload", tables["workload"])
     print_table("E15: served throughput and latency per tier",
                 tables["rows"])
+    blas = tables["blas_threads"]
+    print(f"BLAS threads: front-end {blas['front_end']}, "
+          f"shards {blas['shards']}")
     print()
     print(get_registry().report("E15 open-loop load"))
 
@@ -360,6 +381,7 @@ def _finalize(tables, merged) -> str:
         tables={"workload": tables["workload"]},
         seed=SEED,
         manifest_extra={
+            "blas_threads": tables["blas_threads"],
             "counters": {name: counter.value
                          for name, counter in registry.counters.items()},
             "dropped_spans": registry.dropped_spans,
@@ -400,13 +422,19 @@ def main():
     tables, merged = run_experiment(smoke=smoke, shards=shards)
     _print_results(tables)
     _finalize(tables, merged)
-    if smoke:
-        return 0
     workload = tables["workload"][0]
     rows = {row["tier"]: row for row in tables["rows"]}
     speedup = workload["speedup"]
     p99_ok = rows["sharded"]["p99_ms"] <= rows["baseline"]["p99_ms"]
     cpus = os.cpu_count() or 1
+    if smoke:
+        passed = speedup >= SMOKE_TARGET_SPEEDUP and p99_ok
+        print(f"NOTE: smoke gate (>= {SMOKE_TARGET_SPEEDUP}x at p99 <= "
+              f"baseline on a 2-CPU host) is reported, not enforced: "
+              f"{speedup:.2f}x, p99 "
+              f"{'<=' if p99_ok else '>'} baseline on {cpus} CPU(s) -> "
+              f"{'pass' if passed else 'short'}")
+        return 0
     if cpus < MIN_GATE_CPUS:
         print(f"NOTE: host has {cpus} CPU core(s) < {MIN_GATE_CPUS}; the "
               f">= {TARGET_SPEEDUP:.0f}x gate is reported, not enforced "

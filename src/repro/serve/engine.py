@@ -53,7 +53,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.obs import get_registry
 from repro.obs.context import RequestContext, current_context
@@ -287,6 +287,9 @@ class DetectionEngine:
                     "engine.queue_wait", job.enqueued_s, flush_start,
                     trace_id=job.ctx.trace_id if job.ctx else None,
                     parent_id=job.ctx.parent_span_id if job.ctx else None)
+        # Futures resolve only after the batch span closes: a caller
+        # holding its result must also see this batch's metrics.
+        served: List[Tuple[_Job, Any]] = []
         error: Optional[BaseException] = None
         try:
             with obs.span("engine.batch", scenes=len(batch)) as batch_span:
@@ -310,14 +313,16 @@ class DetectionEngine:
                         self._record_execute(
                             obs, jobs, exec_start, time.perf_counter(),
                             batch_span)
-                    for job, detections in zip(jobs, results):
-                        job.future.set_result(detections)
-        except BaseException as exc:  # fail the whole batch, keep serving
+                    served.extend(zip(jobs, results))
+        except BaseException as exc:  # fail the batch's rest, keep serving
             error = exc
+        for job, detections in served:
+            if not job.future.done():  # the caller may have cancelled
+                job.future.set_result(detections)
+        if error is not None:
             for job in batch:
                 if not job.future.done():
-                    job.future.set_exception(exc)
-        if error is not None:
+                    job.future.set_exception(error)
             sampler = get_sampler()
             if sampler is not None:
                 sampler.record_engine_error(

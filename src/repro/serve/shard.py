@@ -47,16 +47,28 @@ engine/session code path as single-process serving — so with a
 batch-invariant (quantized) model, sharded results are bit-for-bit the
 single-process results (the ``sharded_engine`` fuzz oracle pins this).
 
+BLAS thread budget: each worker sets every loaded OpenBLAS pool to
+:func:`blas_budget` threads (usable CPUs // shards, at least one), so N
+shards do not each run the front-end's full pool on the same cores.  The
+quantized kernels are exact integer GEMMs, so the thread count changes
+their speed, never their results; float forwards (the cascade's
+specialists) may move in the last bits, as they already do with batch
+size.  The front-end's pools are left as they are.
+
 Start methods: ``fork`` (the default where available) lets tests and
 benchmarks pass closure factories and inherits nothing mutable that
 matters (registries are re-installed, process tags re-minted via
-``os.register_at_fork``); ``spawn`` requires a picklable factory such
-as :class:`TaskSessionFactory`.
+``os.register_at_fork``, and each child closes the front-end's pipe
+ends it inherited, so a killed front-end leaves its workers at EOF);
+``spawn`` requires a picklable factory such as
+:class:`TaskSessionFactory`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import itertools
 import multiprocessing
@@ -67,7 +79,8 @@ import threading
 import time
 from concurrent.futures import Future
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
+    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 from repro.obs import get_registry
@@ -87,6 +100,8 @@ __all__ = [
     "ShardRejected",
     "ShardRouter",
     "TaskSessionFactory",
+    "blas_budget",
+    "blas_threads",
     "shard_for_mission",
     "worker_seed",
 ]
@@ -126,6 +141,84 @@ def worker_seed(base_seed: int, shard_index: int, pid: int) -> int:
     """
     payload = f"{base_seed}:{shard_index}:{pid}".encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest()[:4], "big")
+
+
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                 "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads")
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads")
+# OpenBLAS's own pre-fork hook: stops the pool's threads (it restarts on
+# the next threaded call).
+_BLAS_SHUTDOWN = ("blas_thread_shutdown_",)
+
+
+class _BlasPool(NamedTuple):
+    library: str
+    set_threads: Callable[[int], None]
+    get_threads: Callable[[], int]
+    shutdown: Optional[Callable[[], int]]
+
+
+def _symbol(lib, names, argtypes, restype):
+    for name in names:
+        func = getattr(lib, name, None)
+        if func is not None:
+            func.argtypes, func.restype = argtypes, restype
+            return func
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_pools() -> Tuple[_BlasPool, ...]:
+    """Every loaded OpenBLAS copy, with its thread-control symbols.
+
+    numpy and scipy each bundle one; the program's numeric modules load
+    both (imported here so a spawned worker has scipy's too).  Resolved
+    once per process from ``/proc/self/maps``; the front-end resolves
+    before forking, so forked workers inherit the lookup.
+    """
+    import repro.quant.vit  # noqa: F401  (scipy.special -> its OpenBLAS)
+    import repro.tensor.ops  # noqa: F401
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = [line.split()[-1] for line in maps]
+    except OSError:  # no procfs: leave the pools alone
+        return ()
+    pools = []
+    for path in dict.fromkeys(paths):
+        name = os.path.basename(path)
+        if "openblas" not in name or ".so" not in name:
+            continue
+        lib = ctypes.CDLL(path)
+        pool = _BlasPool(
+            name, _symbol(lib, _BLAS_SETTERS, [ctypes.c_int], None),
+            _symbol(lib, _BLAS_GETTERS, [], ctypes.c_int),
+            _symbol(lib, _BLAS_SHUTDOWN, [], ctypes.c_int))
+        if pool.set_threads is not None and pool.get_threads is not None:
+            pools.append(pool)
+    return tuple(pools)
+
+
+def blas_threads() -> Dict[str, int]:
+    """Threads per loaded OpenBLAS library in this process."""
+    return {pool.library: pool.get_threads() for pool in _openblas_pools()}
+
+
+def blas_budget(num_shards: int) -> int:
+    """OpenBLAS threads per pool in each of ``num_shards`` workers.
+
+    With default pools every worker would run one thread per CPU, so N
+    shards put N threads on each core; measured on 2 CPUs with 2 shards
+    that made a shard-side quantized forward ~4x slower than in-process.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // num_shards)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,19 +339,27 @@ def _picklable_exc(exc: BaseException) -> BaseException:
 
 def _shard_worker_main(conn_recv, conn_send, shard_index: int,
                        config: ShardConfig,
-                       factory: Callable[[str], Any]) -> None:
+                       factory: Callable[[str], Any],
+                       inherited: Sequence[Any]) -> None:
     """Entry point of one shard worker process.
 
-    Bootstrap order matters: install a fresh registry (the forked one
-    carries the parent's accumulated metrics, which would double-count
-    in merged snapshots, and locks whose fork-time state is not
-    guaranteed clean), reseed ``np.random`` process-uniquely, then
-    announce readiness with the metrics endpoint, and serve.
+    Bootstrap order matters: close the front-end's pipe ends a fork
+    handed us (``inherited``; held open here, they would keep this
+    worker and its siblings from ever seeing EOF when the front-end
+    dies), install a fresh registry (the forked one carries the
+    parent's accumulated metrics, which would double-count in merged
+    snapshots, and locks whose fork-time state is not guaranteed
+    clean), reseed ``np.random`` process-uniquely, budget the BLAS
+    pools, then announce readiness with the metrics endpoint and the
+    applied thread counts, and serve.
     """
     import numpy as np
 
     from repro.obs import Registry, install_registry
     from repro.obs.export import MetricsServer, mergeable_snapshot
+
+    for conn in inherited:
+        conn.close()
 
     drain_flag = threading.Event()
     # The handler only sets a flag: sending on the pipe from signal
@@ -274,6 +375,14 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
     registry.counter("engine.rejected")
     seed = worker_seed(config.base_seed, shard_index, os.getpid())
     np.random.seed(seed)
+    budget = blas_budget(config.num_shards)
+    for pool in _openblas_pools():
+        pool.set_threads(budget)
+        # After a fork that call restarts the pool at full size, and the
+        # new threads busy-wait for work (~40 ms each) while this worker
+        # builds its models.  Stop them; a threaded call restarts them.
+        if pool.shutdown is not None:
+            pool.shutdown()
 
     metrics: Optional[MetricsServer] = None
     if config.metrics:
@@ -294,6 +403,7 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
         "shard": shard_index,
         "pid": os.getpid(),
         "seed": seed,
+        "blas_threads": blas_threads(),
         "metrics_url": metrics.url if metrics is not None else None,
         "metrics_port": metrics.port if metrics is not None else None,
     }))
@@ -496,18 +606,27 @@ class ShardRouter:
                       multiprocessing.get_all_start_methods() else None)
         mp_ctx = multiprocessing.get_context(method)
 
+        forking = mp_ctx.get_start_method() == "fork"
+        if forking:
+            _openblas_pools()  # resolve once here, not in every child
+
         self._handles = [_WorkerHandle(i, self.config.queue_size)
                          for i in range(self.config.num_shards)]
+        # Front-end pipe ends so far: a forked child inherits them all.
+        # (A spawned child receives only the ends passed to it.)
+        parent_ends: List[Any] = []
         # Spawn EVERY process before starting ANY parent thread: forking
         # while a parent thread holds the registry (or a pipe) lock
         # would hand the child a lock that is never released.
         for handle in self._handles:
             to_worker_r, to_worker_w = mp_ctx.Pipe(duplex=False)
             to_parent_r, to_parent_w = mp_ctx.Pipe(duplex=False)
+            parent_ends += [to_worker_w, to_parent_r]
             process = mp_ctx.Process(
                 target=_shard_worker_main,
                 args=(to_worker_r, to_parent_w, handle.index,
-                      self.config, factory),
+                      self.config, factory,
+                      tuple(parent_ends) if forking else ()),
                 name=f"repro-shard-{handle.index}",
                 daemon=True,
             )
@@ -580,7 +699,8 @@ class ShardRouter:
         raise ShardClosed("no live shards")
 
     def shard_info(self) -> List[Dict[str, Any]]:
-        """Ready-handshake info per shard (pid, seed, metrics url)."""
+        """Ready-handshake info per shard (pid, seed, metrics url, and
+        ``blas_threads``: library -> threads the worker runs with)."""
         return [dict(handle.info) for handle in self._handles]
 
     def shard_metrics_urls(self) -> List[str]:

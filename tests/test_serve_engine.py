@@ -14,6 +14,8 @@ Covers the three layers of the serving stack:
   telemetry.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -378,6 +380,41 @@ class TestDetectionEngine:
             # The engine keeps serving after a failed batch.
             good = engine.submit(scenes[0])
             assert good.result(timeout=10.0) is not None
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_batch_metrics_recorded_before_futures_resolve(self, scenes,
+                                                           fail):
+        """A caller holding its result (or error) must already see that
+        batch's ``engine.batch`` timer: futures resolve after the span
+        closes, not inside it."""
+        registry = get_registry()
+        registry.reset()
+        release = threading.Event()
+
+        class GatedSession:
+            def detect_batch(self, batch, stride=None):
+                assert release.wait(10.0)
+                if fail:
+                    raise RuntimeError("batch failed")
+                return [[] for _ in batch]
+
+        seen = []
+
+        def on_done(future):  # runs on the engine thread that resolves it
+            timer = registry.timers.get("engine.batch")
+            seen.append(timer.calls if timer is not None else 0)
+
+        with DetectionEngine(GatedSession(),
+                             EngineConfig(max_batch=1)) as engine:
+            future = engine.submit(scenes[0])
+            future.add_done_callback(on_done)
+            release.set()
+            if fail:
+                with pytest.raises(RuntimeError):
+                    future.result(timeout=10.0)
+            else:
+                assert future.result(timeout=10.0) == []
+        assert seen == [1]
 
     def test_engine_telemetry(self, pipeline, spec, scenes):
         registry = get_registry()

@@ -11,6 +11,10 @@ Covers the multi-process refactor of the serving stack:
 * lifecycle: graceful SIGTERM drain (in-flight finishes, raced jobs are
   rejected with ``engine.rejected`` and rerouted without loss), queue
   backpressure shedding, per-tenant fairness caps, idempotent close,
+  workers that exit once a SIGKILLed front-end's pipes reach EOF,
+* the per-worker BLAS thread budget: every loaded OpenBLAS pool runs
+  usable CPUs // shards threads in a worker, reported in the ready
+  handshake, while the front-end's pools stay as they were,
 * cross-process metrics: every shard serves a mergeable snapshot and
   the front-end's ``/snapshot`` is bit-identical to
   ``merge_snapshots`` over the per-shard documents,
@@ -22,6 +26,11 @@ Covers the multi-process refactor of the serving stack:
 
 import json
 import multiprocessing
+import os
+import select
+import signal
+import subprocess
+import sys
 import time
 import urllib.request
 
@@ -52,9 +61,11 @@ from repro.serve import (
     ShardConfig,
     ShardRejected,
     ShardRouter,
+    TaskSessionFactory,
     shard_for_mission,
     worker_seed,
 )
+from repro.serve.shard import blas_budget, blas_threads
 
 TASK = "roadside_hazards"
 BASE_SEED = 7
@@ -62,6 +73,8 @@ BASE_SEED = 7
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="sharded serving tests need the fork start method")
+START_METHODS = [method for method in ("fork", "spawn")
+                 if method in multiprocessing.get_all_start_methods()]
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +260,8 @@ def quantized_router():
 class TestShardedResults:
     def test_bit_equal_to_sequential(self, quantized_router, scenes,
                                      reference_detector):
+        # The reference runs here at this process's own BLAS pool size,
+        # the shards at their budget: the thread count is not a result.
         reference = [reference_detector.detect(scene) for scene in scenes]
         results = quantized_router.detect_many(scenes, TASK)
         assert any(len(dets) > 0 for dets in reference)
@@ -451,6 +466,105 @@ class TestLifecycle:
         assert router.closed
         with pytest.raises(ShardClosed):
             router.submit(scenes[0], TASK)
+
+
+# A front-end in its own process: starts a 2-shard router, prints the
+# worker pids, and waits to be killed.
+FRONT_END_SCRIPT = """
+import json, sys, time
+from repro.serve import ShardConfig, ShardRouter, TaskSessionFactory
+router = ShardRouter(TaskSessionFactory(),
+                     ShardConfig(num_shards=2, start_method=sys.argv[1]))
+print(json.dumps([info["pid"] for info in router.shard_info()]), flush=True)
+time.sleep(600)
+"""
+
+
+def process_gone(pid: int) -> bool:
+    """Exited: no such process, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+@pytest.mark.parametrize("method", START_METHODS)
+def test_workers_exit_when_front_end_is_killed(method):
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    front = subprocess.Popen(
+        [sys.executable, "-c", FRONT_END_SCRIPT, method],
+        stdout=subprocess.PIPE, env=env, text=True)
+    pids = []
+    try:
+        ready, _, _ = select.select([front.stdout], [], [], 120.0)
+        assert ready, "front-end never reported its workers"
+        pids = json.loads(front.stdout.readline())
+        assert len(pids) == 2
+        front.kill()
+        front.wait()
+        deadline = time.monotonic() + 5.0
+        while (not all(process_gone(pid) for pid in pids)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert [pid for pid in pids if not process_gone(pid)] == []
+    finally:
+        front.kill()
+        front.wait()
+        front.stdout.close()
+        for pid in pids:
+            if not process_gone(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+# ----------------------------------------------------------------------
+# BLAS thread budget
+# ----------------------------------------------------------------------
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class TestBlasBudget:
+    def test_budget_splits_usable_cpus(self):
+        cpus = usable_cpus()
+        assert blas_budget(1) == cpus
+        assert blas_budget(cpus) == 1
+        assert blas_budget(cpus + 1) == 1
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_handshake_reports_budget_front_end_untouched(self, method):
+        front = blas_threads()
+        assert front, "no OpenBLAS library found in this process"
+        router = ShardRouter(TaskSessionFactory(), ShardConfig(
+            num_shards=2, start_method=method))
+        try:
+            assert blas_threads() == front
+            infos = router.shard_info()
+        finally:
+            router.close()
+        budget = max(1, usable_cpus() // 2)
+        for info in infos:
+            assert info["blas_threads"] == {name: budget for name in front}
+        assert blas_threads() == front
+
+    @fork_only
+    def test_more_shards_than_cpus_get_one_thread(self):
+        shards = usable_cpus() + 1
+        with echo_router(num_shards=shards) as router:
+            infos = router.shard_info()
+        assert len(infos) == shards
+        for info in infos:
+            assert info["blas_threads"]
+            assert set(info["blas_threads"].values()) == {1}
 
 
 # ----------------------------------------------------------------------
