@@ -12,7 +12,7 @@ bottom-up:
   projection → blocks → heads) at serving batch size — **the
   acceptance gate**: full mode exits non-zero below ``SPEEDUP_TARGET``;
 * ``detect`` — scenes/sec through the full detect path (window
-  extraction and NMS included), fast vs ``REPRO_QUANT_EXACT=1``;
+  extraction and NMS included), fast vs the int64 reference model;
 * ``engine`` — float-specialist vs quantized micro-batching engines on
   the E11 harness (the quantized configuration must stay within
   ``ENGINE_RATIO_TARGET`` of float at batch >= 8).
@@ -31,7 +31,8 @@ Run standalone:
 ``--smoke`` shrinks every workload (CI-friendly) while keeping
 ``quant.forward.*`` stage *shares* stable for the CI regression gate
 (``repro obs compare --metric share``).  Both modes persist telemetry —
-manifest, span tree, and all four result tables — to
+manifest (with the process's BLAS thread counts and forward-pool
+threads), span tree, and all four result tables — to
 ``BENCH_e12_quant_inference.json``.
 """
 
@@ -41,6 +42,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from benchmarks.common import finalize_benchmark, print_table
+from repro.compute import blas_threads, compute_budget
 from repro.obs import get_registry
 from repro.quant.bench import (
     compare_engine_configurations,
@@ -112,7 +114,10 @@ def main():
     smoke = "--smoke" in sys.argv[1:]
     tables, forward_speedup = run_experiment(smoke=smoke)
     _print_results(tables)
-    finalize_benchmark("e12_quant_inference", **tables)
+    finalize_benchmark("e12_quant_inference", manifest_extra={
+        "blas_threads": blas_threads(),
+        "forward_workers": compute_budget(),
+    }, **tables)
     failed = False
     if not smoke and forward_speedup < SPEEDUP_TARGET:
         print(f"WARNING: end-to-end quantized forward speedup "

@@ -38,9 +38,11 @@ second after an idle spell on the measured host), so the sharded
 tier is never saturated and reads ~1.2x; and the baseline alone
 swings ~2x run to run.
 
-Each shard worker budgets its OpenBLAS pools to usable CPUs // shards
-threads (see :func:`repro.serve.shard.blas_budget`); the telemetry
-manifest records the front-end's and every shard's thread counts.
+Each shard worker applies a compute budget of usable CPUs // shards
+(see :func:`repro.compute.apply_budget`): its OpenBLAS pools run that
+many threads, and a multi-chunk quantized forward runs on that many
+chunk threads.  The telemetry manifest records the front-end's and
+every shard's BLAS thread counts and forward workers.
 
 **Always checked, both modes**: the front-end's merged ``/snapshot``
 (served over HTTP by :meth:`ShardRouter.serve_metrics`) is
@@ -93,7 +95,7 @@ from repro.serve import (
     ShardRejected,
     ShardRouter,
 )
-from repro.serve.shard import blas_threads
+from repro.compute import blas_threads, compute_budget
 
 SEED = 20_250
 WARM_TASKS = ["roadside_hazards", "cargo_audit", "valve_inspection"]
@@ -323,8 +325,11 @@ def run_experiment(smoke: bool = False, shards: int = None):
         start_method="fork",
     )
     router = ShardRouter(factory, shard_config)
+    infos = router.shard_info()
     blas = {"front_end": blas_threads(),
-            "shards": [info["blas_threads"] for info in router.shard_info()]}
+            "shards": [info["blas_threads"] for info in infos]}
+    workers = {"front_end": compute_budget(),
+               "shards": [info["forward_workers"] for info in infos]}
     try:
         sharded = run_open_loop(router, scenes, schedule, "sharded")
         sharded["shards"] = shards
@@ -352,6 +357,7 @@ def run_experiment(smoke: bool = False, shards: int = None):
             "speedup": speedup,
         }],
         "blas_threads": blas,
+        "forward_workers": workers,
     }
     return tables, merged
 
@@ -361,8 +367,11 @@ def _print_results(tables) -> None:
     print_table("E15: served throughput and latency per tier",
                 tables["rows"])
     blas = tables["blas_threads"]
+    workers = tables["forward_workers"]
     print(f"BLAS threads: front-end {blas['front_end']}, "
           f"shards {blas['shards']}")
+    print(f"forward workers: front-end {workers['front_end']}, "
+          f"shards {workers['shards']}")
     print()
     print(get_registry().report("E15 open-loop load"))
 
@@ -382,6 +391,7 @@ def _finalize(tables, merged) -> str:
         seed=SEED,
         manifest_extra={
             "blas_threads": tables["blas_threads"],
+            "forward_workers": tables["forward_workers"],
             "counters": {name: counter.value
                          for name, counter in registry.counters.items()},
             "dropped_spans": registry.dropped_spans,

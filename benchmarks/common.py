@@ -153,6 +153,7 @@ def finalize_benchmark(
     rows: Optional[Sequence[Dict]] = None,
     seed: Optional[int] = EVAL_SEED,
     out: Optional[str] = None,
+    manifest_extra: Optional[Dict] = None,
     **tables: Sequence[Dict],
 ) -> str:
     """Persist one standalone benchmark run as ``BENCH_<name>.json``.
@@ -164,7 +165,8 @@ def finalize_benchmark(
     every E-row in EXPERIMENTS.md can cite its provenance.  The manifest
     carries the counter snapshot and the span-buffer drop count so a
     truncated trace (``dropped_spans > 0``) is visible at a glance in
-    the provenance header, not just deep in the obs block.
+    the provenance header, not just deep in the obs block;
+    ``manifest_extra`` adds run-specific provenance (thread budgets).
     """
     from repro.obs import build_telemetry, get_registry, write_telemetry
 
@@ -177,6 +179,7 @@ def finalize_benchmark(
         tables=tables or None,
         seed=seed,
         manifest_extra={
+            **(manifest_extra or {}),
             "counters": {cname: counter.value
                          for cname, counter in registry.counters.items()},
             "dropped_spans": dropped,

@@ -27,13 +27,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.compute import compute_budget, forward_pool
 from repro.data.datasets import background_class_id
 from repro.data.scenes import Scene
 from repro.detect.boxes import nms, nms_reference
 from repro.kg.matcher import GraphMatcher
 from repro.nn import VisionTransformer
 from repro.obs import get_registry
-from repro.obs.context import current_context
+from repro.obs.context import current_context, use_context
 from repro.quant.vit import QuantizedVisionTransformer
 from repro.tensor import Tensor, no_grad
 
@@ -54,7 +55,9 @@ def _attr_deadline(span) -> None:
 # Fused multi-scene forwards run bigger chunks than single-scene detect:
 # per-chunk Python/dispatch overhead amortizes across the whole batch.
 # 256 is the measured sweet spot for the student ViT on one CPU core;
-# much larger chunks start thrashing cache in the attention GEMMs.
+# much larger chunks start thrashing cache in the attention GEMMs.  With
+# a forward pool of W threads the cap is 256 // W windows per chunk, so
+# the rows in flight per process stay the same.
 _BATCH_FORWARD_CHUNK = 256
 
 
@@ -79,6 +82,48 @@ def _empty_predictions(model: ModelLike) -> Dict[str, np.ndarray]:
     return result
 
 
+_ChunkOutput = Tuple[np.ndarray, Dict[str, np.ndarray], Optional[np.ndarray]]
+
+
+def _forward_chunk(model: ModelLike, chunk: np.ndarray) -> _ChunkOutput:
+    """One chunk's forward: softmaxed class, attribute and task outputs."""
+    with get_registry().time("detect.model_forward"):
+        if isinstance(model, QuantizedVisionTransformer):
+            out = model(chunk)
+            class_logits = out["class_logits"]
+            attrs = out["attributes"]
+            task_logits = out.get("task_logits")
+        else:
+            with no_grad():
+                out = model(Tensor(chunk))
+            class_logits = out["class_logits"].data
+            attrs = {k: v.data for k, v in out["attributes"].items()}
+            task_logits = out["task_logits"].data if "task_logits" in out else None
+    return (_softmax_np(class_logits),
+            {family: _softmax_np(logits) for family, logits in attrs.items()},
+            None if task_logits is None else _softmax_np(task_logits))
+
+
+def _forward_chunks_parallel(pool, model: ModelLike,
+                             chunks: List[np.ndarray]) -> List[_ChunkOutput]:
+    """Chunks on the forward pool, results in submission order.
+
+    Each pool thread adopts the caller's open span and request context,
+    so its ``detect.model_forward``/``quant.forward*`` spans hang under
+    the caller's span with the caller's trace id.
+    """
+    obs = get_registry()
+    parent = obs.current_span()
+    ctx = current_context()
+
+    def run(chunk: np.ndarray) -> _ChunkOutput:
+        with use_context(ctx), obs.adopt(parent):
+            return _forward_chunk(model, chunk)
+
+    futures = [pool.submit(run, chunk) for chunk in chunks]
+    return [future.result() for future in futures]
+
+
 def predict_windows(model: ModelLike, windows: np.ndarray,
                     batch_size: int = 64) -> Dict[str, np.ndarray]:
     """Run a model configuration over ``(N, 3, S, S)`` windows.
@@ -86,43 +131,36 @@ def predict_windows(model: ModelLike, windows: np.ndarray,
     Returns ``{"class_probs": (N, C), "attribute_probs": {family: (N, V)}}``.
     An empty batch (``N == 0``) yields zero-row arrays of the right widths
     instead of crashing on an empty concatenate.
+
+    The quantized configuration's chunks run on the process's forward
+    pool (:func:`repro.compute.forward_pool`) when there is more than
+    one chunk and the compute budget is above one core.  Its results are
+    exact and row-local, so the thread a chunk runs on cannot change a
+    bit.  Float forwards stay sequential: their results move by ulps
+    with BLAS threading.
     """
     if windows.shape[0] == 0:
         return _empty_predictions(model)
-    obs = get_registry()
-    obs.count("detect.windows_scored", windows.shape[0])
-    class_chunks: List[np.ndarray] = []
-    attr_chunks: Dict[str, List[np.ndarray]] = {}
-    task_chunks: List[np.ndarray] = []
-    for start in range(0, windows.shape[0], batch_size):
-        chunk = np.asarray(windows[start:start + batch_size], dtype=np.float32)
-        with obs.time("detect.model_forward"):
-            if isinstance(model, QuantizedVisionTransformer):
-                out = model(chunk)
-                class_logits = out["class_logits"]
-                attrs = out["attributes"]
-                task_logits = out.get("task_logits")
-            else:
-                with no_grad():
-                    out = model(Tensor(chunk))
-                class_logits = out["class_logits"].data
-                attrs = {k: v.data for k, v in out["attributes"].items()}
-                task_logits = out["task_logits"].data if "task_logits" in out else None
-        class_chunks.append(_softmax_np(class_logits))
-        for family, logits in attrs.items():
-            attr_chunks.setdefault(family, []).append(_softmax_np(logits))
-        if task_logits is not None:
-            task_chunks.append(_softmax_np(task_logits))
+    get_registry().count("detect.windows_scored", windows.shape[0])
+    chunks = [np.asarray(windows[start:start + batch_size], dtype=np.float32)
+              for start in range(0, windows.shape[0], batch_size)]
+    pool = (forward_pool() if len(chunks) > 1
+            and isinstance(model, QuantizedVisionTransformer) else None)
+    if pool is None:
+        parts = [_forward_chunk(model, chunk) for chunk in chunks]
+    else:
+        parts = _forward_chunks_parallel(pool, model, chunks)
     result: Dict[str, np.ndarray] = {
-        "class_probs": np.concatenate(class_chunks, axis=0),
+        "class_probs": np.concatenate([part[0] for part in parts], axis=0),
         "attribute_probs": {
-            family: np.concatenate(parts, axis=0)
-            for family, parts in attr_chunks.items()
+            family: np.concatenate([part[1][family] for part in parts], axis=0)
+            for family in parts[0][1]
         },
     }
-    if task_chunks:
+    if parts[0][2] is not None:
         # probability the window is relevant to the specialist's task
-        result["task_probs"] = np.concatenate(task_chunks, axis=0)[:, 1]
+        result["task_probs"] = np.concatenate(
+            [part[2] for part in parts], axis=0)[:, 1]
     return result
 
 
@@ -498,7 +536,10 @@ class TaskDetector:
             # Larger forward chunks amortize per-call overhead across the
             # batch; even-sized chunks avoid a slow ragged tail.  Per-scene
             # batch_size still applies when it is bigger.
-            chunk = max(self.batch_size, _BATCH_FORWARD_CHUNK)
+            cap = _BATCH_FORWARD_CHUNK
+            if isinstance(self.model, QuantizedVisionTransformer):
+                cap //= compute_budget()
+            chunk = max(self.batch_size, cap)
             if total > chunk:
                 pieces = -(-total // chunk)
                 chunk = -(-total // pieces)

@@ -399,8 +399,8 @@ class Registry:
 
     Thread-safe for concurrent ``span``/``time``/``count`` calls;
     detection servers can share one registry across worker threads.  Each
-    thread keeps its own span stack, so parent/child links never cross
-    threads.
+    thread keeps its own span stack, so parent/child links cross threads
+    only where a caller hands its span over explicitly (:meth:`adopt`).
     """
 
     def __init__(self, name: str = "obs",
@@ -534,6 +534,30 @@ class Registry:
                     self._spans.append(span)
                 else:
                     self._dropped_spans += 1
+
+    def current_span(self) -> Optional[Span]:
+        """The innermost span this thread holds open, if any."""
+        stack = self._stack()
+        return stack[-1] if stack else None
+
+    @contextlib.contextmanager
+    def adopt(self, parent: Optional[Span]) -> Iterator[None]:
+        """Open this thread's spans as children of ``parent``.
+
+        For work handed to another thread mid-span (the forward pool):
+        the caller passes :meth:`current_span`, and spans the helper
+        thread opens inside the block hang under it instead of
+        becoming roots.  ``parent`` itself is not re-recorded.
+        """
+        if parent is None:
+            yield
+            return
+        stack = self._stack()
+        stack.append(parent)
+        try:
+            yield
+        finally:
+            stack.pop()
 
     def record_span(self, name: str, start_s: float, end_s: float, *,
                     trace_id: Optional[str] = None,

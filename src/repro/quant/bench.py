@@ -10,8 +10,8 @@ Three workloads cover the integer stack bottom-up:
   outputs are **bit-identical** before anything is timed;
 * :func:`run_forward_latency` — the whole quantized network end to end
   (patch projection → blocks → heads) at serving batch size, BLAS
-  kernels vs the ``REPRO_QUANT_EXACT=1`` reference, gated on
-  bit-identical outputs — the ≥5x acceptance measurement;
+  kernels vs the int64 reference model (:func:`reference_model`), gated
+  on bit-identical outputs — the ≥5x acceptance measurement;
 * :func:`run_e2e_forward` — quantized scenes/sec through the full
   detect path (``TaskDetector.detect_batch`` over a scene stream,
   window extraction and NMS included), again gated on bit-identical
@@ -29,18 +29,20 @@ cache.
 
 from __future__ import annotations
 
-import contextlib
-import os
+import copy
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.data import SceneConfig, SceneGenerator, attribute_head_spec
 from repro.data.datasets import num_classes
 from repro.nn import VisionTransformer, ViTConfig
+from repro.quant.linear import QuantizedLinear
 from repro.quant.qparams import QuantSpec
-from repro.quant.vit import QuantizedVisionTransformer, quantize_vit
+from repro.quant.vit import (
+    ProjFn, QuantizedVisionTransformer, _traced_proj, quantize_vit,
+)
 from repro.serve.bench import _interleaved_rounds, compare_engine_configurations
 
 __all__ = [
@@ -49,23 +51,36 @@ __all__ = [
     "run_forward_latency",
     "run_e2e_forward",
     "compare_engine_configurations",
-    "reference_mode",
+    "reference_model",
 ]
 
 
-@contextlib.contextmanager
-def reference_mode() -> Iterator[None]:
-    """Force every quantized forward through the int64 reference kernel
-    (scoped ``REPRO_QUANT_EXACT=1``)."""
-    prev = os.environ.get("REPRO_QUANT_EXACT")
-    os.environ["REPRO_QUANT_EXACT"] = "1"
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_QUANT_EXACT", None)
-        else:
-            os.environ["REPRO_QUANT_EXACT"] = prev
+def _reference_projection(layer: QuantizedLinear) -> ProjFn:
+    def apply(x: np.ndarray) -> np.ndarray:
+        flat = x.reshape(-1, x.shape[-1])
+        y = layer.forward_integer_reference(layer.quantize_input(flat))
+        return y.reshape(*x.shape[:-1], layer.out_features)
+
+    return apply
+
+
+def reference_model(
+        quantized: QuantizedVisionTransformer) -> QuantizedVisionTransformer:
+    """The same quantized network on the int64 reference kernels.
+
+    Shares ``quantized``'s parameters; only the projection table
+    differs, with every site running
+    :meth:`~repro.quant.QuantizedLinear.forward_integer_reference` — the
+    oracle the BLAS kernels must match bit for bit.  Sites still record
+    their ``quant.forward.<site>`` spans.
+    """
+    reference = QuantizedVisionTransformer(model=quantized.model,
+                                           layers=quantized.layers)
+    reference._projections = {
+        site: _traced_proj(site, _reference_projection(layer))
+        for site, layer in quantized.layers.items()
+    }
+    return reference
 
 
 def build_quantized_student(
@@ -183,9 +198,10 @@ def run_forward_latency(
 
     One fused batch of ``batch_images`` images through the *whole*
     quantized model — patch projection, both transformer blocks, and
-    every head — once on the exact BLAS kernels and once under
-    ``REPRO_QUANT_EXACT=1``.  Every output head (logits, attributes,
-    CLS embedding) must match **bit for bit** (asserted before timing).
+    every head — once on the exact BLAS kernels and once on the int64
+    reference model (:func:`reference_model`).  Every output head
+    (logits, attributes, CLS embedding) must match **bit for bit**
+    (asserted before timing).
     Returns (rows, speedup) with the drift-cancelled fast-over-reference
     speedup (each mode's best steady-state round, rounds interleaved) —
     the number the E12 acceptance gate checks.
@@ -196,9 +212,9 @@ def run_forward_latency(
         (batch_images, config.in_channels,
          config.image_size, config.image_size)).astype(np.float32)
 
+    reference = reference_model(quantized)
     fast_out = quantized(images)
-    with reference_mode():
-        ref_out = quantized(images)
+    ref_out = reference(images)
     if not _outputs_equal(fast_out, ref_out):
         raise AssertionError(
             "BLAS forward diverged from the int64 reference")
@@ -207,8 +223,7 @@ def run_forward_latency(
         quantized(images)
 
     def run_reference() -> None:
-        with reference_mode():
-            quantized(images)
+        reference(images)
 
     samples = _steady_state_rounds(repeats, [run_fast, run_reference])
     fast_rounds, ref_rounds = samples
@@ -253,8 +268,9 @@ def run_e2e_forward(
 
     Streams ``num_scenes`` scenes through the quantized serving pipeline
     (``MissionSession.detect_batch`` — fused multi-scene forwards) twice:
-    once on the exact BLAS kernels, once under ``REPRO_QUANT_EXACT=1``.
-    Detections must match **bit for bit** (bbox, score, class — asserted
+    once on the exact BLAS kernels, once with the detector's model swapped
+    for its int64 reference model (:func:`reference_model`).  Detections
+    must match **bit for bit** (bbox, score, class — asserted
     before timing).  Returns (rows, speedup): one row per execution mode
     with scenes/sec, and the drift-cancelled fast-over-reference speedup
     (each mode's best steady-state round, rounds interleaved).
@@ -264,8 +280,7 @@ def run_e2e_forward(
     if (weight_bits, act_bits) == (8, 8):
         pipeline, spec, scenes = build_workload(num_scenes, grid, seed,
                                                 configuration="quantized")
-        session = pipeline.session(spec)
-        detect = lambda: session.detect_batch(scenes)  # noqa: E731
+        detector = pipeline.session(spec).detector
     else:
         # Non-default widths: drive the detector directly (the serving
         # workload pins w8a8, the deployment default).
@@ -275,18 +290,18 @@ def run_e2e_forward(
         detector = TaskDetector(model=quantized, matcher=None)
         scenes = list(SceneGenerator(SceneConfig(grid=grid),
                                      seed=seed).generate_batch(num_scenes))
-        detect = lambda: detector.detect_batch(scenes)  # noqa: E731
+    reference_detector = copy.copy(detector)
+    reference_detector.model = reference_model(detector.model)
 
-    fast_out = detect()
-    with reference_mode():
-        ref_out = detect()
-    if not _detections_equal(fast_out, ref_out):
+    def detect():
+        return detector.detect_batch(scenes)
+
+    def run_reference():
+        return reference_detector.detect_batch(scenes)
+
+    if not _detections_equal(detect(), run_reference()):
         raise AssertionError(
             "BLAS detect path diverged from the int64 reference")
-
-    def run_reference() -> None:
-        with reference_mode():
-            detect()
 
     samples = _steady_state_rounds(repeats, [detect, run_reference])
     fast_rounds, ref_rounds = samples

@@ -33,13 +33,13 @@ float32) without rounding.  At construction the layer
 ``forward_integer`` then runs one BLAS GEMM over the float codes and
 requantizes with constants fused at construction.  The original int64
 matmul is kept verbatim as :meth:`forward_integer_reference` — the
-bit-exactness oracle that property tests assert against, also
-selectable at runtime via ``REPRO_QUANT_EXACT=1`` as an escape hatch.
+bit-exactness oracle that property tests and the E12 benchmark assert
+against (they build reference models explicitly; there is no runtime
+switch that would swap kernels under a concurrent forward).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Optional
 
@@ -65,12 +65,6 @@ _F32_EXACT_BOUND = 2 ** 24
 # MiB of float64 through memory per site.  Chunking is invisible to the
 # results — every pass is elementwise, so blocking cannot change a bit.
 _CHUNK_ELEMS = 32 * 1024
-
-
-def _reference_requested() -> bool:
-    """``REPRO_QUANT_EXACT=1`` routes every forward through the int64
-    reference kernel (escape hatch; the BLAS path is provably exact)."""
-    return os.environ.get("REPRO_QUANT_EXACT", "") == "1"
 
 
 class QuantizedLinear:
@@ -139,14 +133,18 @@ class QuantizedLinear:
         self._packed_weight = np.ascontiguousarray(
             self.weight_q.T.astype(self._gemm_dtype))
         # Per-thread scratch buffers (codes / accumulator / requant
-        # intermediate), keyed by row count.  Cycling three multi-MB
-        # allocations per call costs more than the GEMM itself on this
-        # machine; reuse keeps the pages hot.  Thread-local because the
-        # serving engine may run concurrent workers over one model.
+        # intermediate): ONE set per thread, grown to the largest row
+        # count that thread has seen and handed out as row-sliced views.
+        # Cycling three multi-MB allocations per call costs more than the
+        # GEMM itself on this machine; reuse keeps the pages hot.
+        # Thread-local because the forward pool and the serving engine
+        # run concurrent forwards over one model; one set (rather than
+        # one per row count) bounds the footprint to threads x largest
+        # batch, however the batch sizes vary.
         self._scratch = threading.local()
         # When True, ``__call__`` returns a scratch buffer that the NEXT
-        # same-shape call overwrites.  Only safe for callers that fully
-        # consume the result before invoking the layer again —
+        # call on the same thread overwrites.  Only safe for callers that
+        # fully consume the result before invoking the layer again —
         # :func:`~repro.quant.vit.quantize_vit` enables it for hidden
         # sites (their outputs die inside one ``_vit_forward`` pass) and
         # keeps it off for head sites, whose outputs the detect path
@@ -183,37 +181,45 @@ class QuantizedLinear:
         return quantize_array(x, self.act_params)
 
     def _scratch_for(self, m: int) -> dict:
-        """Reusable per-thread buffers for ``m``-row forwards.
+        """This thread's buffers, as views sized for an ``m``-row forward.
 
         ``q`` (float64 codes), ``codes`` (float32 codes, narrow-GEMM path
         only), ``acc`` (GEMM output), ``y`` (float64 requant
         intermediate) and ``out`` (float32 result, handed out only under
-        :attr:`reuse_output`).  Every buffer is fully overwritten before
-        it is read on each call, so reuse cannot leak state between
-        batches — outputs stay bit-identical and batch-invariant.
+        :attr:`reuse_output`).  The thread keeps one set, reallocated
+        only when ``m`` exceeds the largest row count it has seen.  Every
+        buffer is fully overwritten before it is read on each call, so
+        reuse cannot leak state between batches — outputs stay
+        bit-identical and batch-invariant.
         """
-        store = self._scratch.__dict__.setdefault("buffers", {})
-        bufs = store.get(m)
-        if bufs is None:
-            if len(store) >= 8:   # bound memory if callers vary shapes
-                store.clear()
-            n, k = self.weight_q.shape
-            narrow = self._gemm_dtype is np.float32
-            # On the narrow path the float64 intermediates are
-            # chunk-sized scratch blocks (see ``_CHUNK_ELEMS``); on the
-            # wide path ``q`` feeds the GEMM directly and must hold the
-            # whole batch.
-            q_rows = min(m, max(1, _CHUNK_ELEMS // k)) if narrow else m
-            y_rows = min(m, max(1, _CHUNK_ELEMS // n))
-            bufs = {
-                "q": np.empty((q_rows, k), dtype=np.float64),
-                "codes": np.empty((m, k), dtype=np.float32) if narrow else None,
-                "acc": np.empty((m, n), dtype=self._gemm_dtype),
-                "y": np.empty((y_rows, n), dtype=np.float64) if narrow else None,
-                "out": np.empty((m, n), dtype=np.float32),
+        local = self._scratch
+        if getattr(local, "rows", 0) < m:
+            local.buffers = self._allocate_scratch(m)
+            local.rows = m
+            local.view_rows = 0
+        if local.view_rows != m:
+            local.views = {
+                name: None if buf is None else buf[: min(m, buf.shape[0])]
+                for name, buf in local.buffers.items()
             }
-            store[m] = bufs
-        return bufs
+            local.view_rows = m
+        return local.views
+
+    def _allocate_scratch(self, m: int) -> dict:
+        n, k = self.weight_q.shape
+        narrow = self._gemm_dtype is np.float32
+        # On the narrow path the float64 intermediates are chunk-sized
+        # scratch blocks (see ``_CHUNK_ELEMS``); on the wide path ``q``
+        # feeds the GEMM directly and must hold the whole batch.
+        q_rows = min(m, max(1, _CHUNK_ELEMS // k)) if narrow else m
+        y_rows = min(m, max(1, _CHUNK_ELEMS // n))
+        return {
+            "q": np.empty((q_rows, k), dtype=np.float64),
+            "codes": np.empty((m, k), dtype=np.float32) if narrow else None,
+            "acc": np.empty((m, n), dtype=self._gemm_dtype),
+            "y": np.empty((y_rows, n), dtype=np.float64) if narrow else None,
+            "out": np.empty((m, n), dtype=np.float32),
+        }
 
     def _quantize_codes_shifted(self, x: np.ndarray) -> np.ndarray:
         """Activations → zero-point-shifted codes (q − z_x) in the GEMM's
@@ -295,11 +301,8 @@ class QuantizedLinear:
         """Integer GEMM + requantization from pre-quantized activations.
 
         ``x_q`` has shape (..., in_features), values already clipped to
-        the activation grid.  Runs the exact BLAS-backed kernel; set
-        ``REPRO_QUANT_EXACT=1`` to route through the int64 reference.
+        the activation grid.  Runs the exact BLAS-backed kernel.
         """
-        if _reference_requested():
-            return self.forward_integer_reference(x_q)
         if x_q.ndim != 2:
             acc = x_q.astype(self._gemm_dtype, copy=False) @ self._packed_weight
             if acc.dtype != np.float64:
@@ -342,8 +345,8 @@ class QuantizedLinear:
     def forward_integer_reference(self, x_q: np.ndarray) -> np.ndarray:
         """The seed int64 kernel, kept as the bit-exactness oracle.
 
-        Tests assert ``forward_integer`` reproduces this bit for bit;
-        it is also what ``REPRO_QUANT_EXACT=1`` deploys.
+        Tests and the E12 benchmark assert ``forward_integer`` and
+        ``__call__`` reproduce this bit for bit.
         """
         acc = x_q.astype(np.int64) @ self.weight_q.T.astype(np.int64)  # int accumulate
         acc = acc - self._act_zero * self._weight_col_sum
@@ -356,10 +359,7 @@ class QuantizedLinear:
         """Float in → float out, with integer compute in the middle."""
         original_shape = x.shape
         flat = x.reshape(-1, original_shape[-1])
-        if _reference_requested():
-            y = self.forward_integer_reference(self.quantize_input(flat))
-        else:
-            y = self._forward_shifted(self._quantize_codes_shifted(flat))
+        y = self._forward_shifted(self._quantize_codes_shifted(flat))
         return y.reshape(*original_shape[:-1], self.out_features)
 
     # ------------------------------------------------------------------

@@ -47,13 +47,14 @@ engine/session code path as single-process serving — so with a
 batch-invariant (quantized) model, sharded results are bit-for-bit the
 single-process results (the ``sharded_engine`` fuzz oracle pins this).
 
-BLAS thread budget: each worker sets every loaded OpenBLAS pool to
-:func:`blas_budget` threads (usable CPUs // shards, at least one), so N
-shards do not each run the front-end's full pool on the same cores.  The
-quantized kernels are exact integer GEMMs, so the thread count changes
-their speed, never their results; float forwards (the cascade's
-specialists) may move in the last bits, as they already do with batch
-size.  The front-end's pools are left as they are.
+Compute budget: each worker applies :func:`repro.compute.apply_budget`
+(usable CPUs // shards, at least one) and sets every loaded OpenBLAS
+pool to that many threads, so N shards do not each run the front-end's
+full pool on the same cores; a worker with a budget of one never starts
+a forward pool.  The quantized kernels are exact integer GEMMs, so the
+thread count changes their speed, never their results; float forwards
+(the cascade's specialists) may move in the last bits, as they already
+do with batch size.  The front-end's pools are left as they are.
 
 Start methods: ``fork`` (the default where available) lets tests and
 benchmarks pass closure factories and inherits nothing mutable that
@@ -66,9 +67,7 @@ ends it inherited, so a killed front-end leaves its workers at EOF);
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import functools
 import hashlib
 import itertools
 import multiprocessing
@@ -79,10 +78,12 @@ import threading
 import time
 from concurrent.futures import Future
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
-    Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 )
 
+from repro.compute import (
+    _openblas_pools, apply_budget, blas_threads, budget_info, compute_budget,
+)
 from repro.obs import get_registry
 from repro.obs.context import (
     RequestContext, context_from_wire, context_to_wire, current_context,
@@ -100,8 +101,6 @@ __all__ = [
     "ShardRejected",
     "ShardRouter",
     "TaskSessionFactory",
-    "blas_budget",
-    "blas_threads",
     "shard_for_mission",
     "worker_seed",
 ]
@@ -141,84 +140,6 @@ def worker_seed(base_seed: int, shard_index: int, pid: int) -> int:
     """
     payload = f"{base_seed}:{shard_index}:{pid}".encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest()[:4], "big")
-
-
-_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
-                 "scipy_openblas_set_num_threads",
-                 "openblas_set_num_threads64_", "openblas_set_num_threads")
-_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
-                 "scipy_openblas_get_num_threads",
-                 "openblas_get_num_threads64_", "openblas_get_num_threads")
-# OpenBLAS's own pre-fork hook: stops the pool's threads (it restarts on
-# the next threaded call).
-_BLAS_SHUTDOWN = ("blas_thread_shutdown_",)
-
-
-class _BlasPool(NamedTuple):
-    library: str
-    set_threads: Callable[[int], None]
-    get_threads: Callable[[], int]
-    shutdown: Optional[Callable[[], int]]
-
-
-def _symbol(lib, names, argtypes, restype):
-    for name in names:
-        func = getattr(lib, name, None)
-        if func is not None:
-            func.argtypes, func.restype = argtypes, restype
-            return func
-    return None
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_pools() -> Tuple[_BlasPool, ...]:
-    """Every loaded OpenBLAS copy, with its thread-control symbols.
-
-    numpy and scipy each bundle one; the program's numeric modules load
-    both (imported here so a spawned worker has scipy's too).  Resolved
-    once per process from ``/proc/self/maps``; the front-end resolves
-    before forking, so forked workers inherit the lookup.
-    """
-    import repro.quant.vit  # noqa: F401  (scipy.special -> its OpenBLAS)
-    import repro.tensor.ops  # noqa: F401
-
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = [line.split()[-1] for line in maps]
-    except OSError:  # no procfs: leave the pools alone
-        return ()
-    pools = []
-    for path in dict.fromkeys(paths):
-        name = os.path.basename(path)
-        if "openblas" not in name or ".so" not in name:
-            continue
-        lib = ctypes.CDLL(path)
-        pool = _BlasPool(
-            name, _symbol(lib, _BLAS_SETTERS, [ctypes.c_int], None),
-            _symbol(lib, _BLAS_GETTERS, [], ctypes.c_int),
-            _symbol(lib, _BLAS_SHUTDOWN, [], ctypes.c_int))
-        if pool.set_threads is not None and pool.get_threads is not None:
-            pools.append(pool)
-    return tuple(pools)
-
-
-def blas_threads() -> Dict[str, int]:
-    """Threads per loaded OpenBLAS library in this process."""
-    return {pool.library: pool.get_threads() for pool in _openblas_pools()}
-
-
-def blas_budget(num_shards: int) -> int:
-    """OpenBLAS threads per pool in each of ``num_shards`` workers.
-
-    With default pools every worker would run one thread per CPU, so N
-    shards put N threads on each core; measured on 2 CPUs with 2 shards
-    that made a shard-side quantized forward ~4x slower than in-process.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // num_shards)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -375,14 +296,7 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
     registry.counter("engine.rejected")
     seed = worker_seed(config.base_seed, shard_index, os.getpid())
     np.random.seed(seed)
-    budget = blas_budget(config.num_shards)
-    for pool in _openblas_pools():
-        pool.set_threads(budget)
-        # After a fork that call restarts the pool at full size, and the
-        # new threads busy-wait for work (~40 ms each) while this worker
-        # builds its models.  Stop them; a threaded call restarts them.
-        if pool.shutdown is not None:
-            pool.shutdown()
+    apply_budget(config.num_shards)
 
     metrics: Optional[MetricsServer] = None
     if config.metrics:
@@ -404,6 +318,7 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
         "pid": os.getpid(),
         "seed": seed,
         "blas_threads": blas_threads(),
+        "forward_workers": compute_budget(),
         "metrics_url": metrics.url if metrics is not None else None,
         "metrics_port": metrics.port if metrics is not None else None,
     }))
@@ -454,6 +369,8 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
             elif name == "rng":
                 payload = {"seed": seed, "pid": os.getpid(),
                            "samples": np.random.random(4).tolist()}
+            elif name == "budget":
+                payload = budget_info()
             elif name == "queue_depth":
                 payload = {mission: engine.queue_depth
                            for mission, engine in engines.items()}
@@ -700,7 +617,9 @@ class ShardRouter:
 
     def shard_info(self) -> List[Dict[str, Any]]:
         """Ready-handshake info per shard (pid, seed, metrics url, and
-        ``blas_threads``: library -> threads the worker runs with)."""
+        ``blas_threads``: library -> threads the worker runs with;
+        ``forward_workers``: threads a multi-chunk quantized forward
+        runs on)."""
         return [dict(handle.info) for handle in self._handles]
 
     def shard_metrics_urls(self) -> List[str]:
@@ -920,8 +839,10 @@ class ShardRouter:
         """Ask one live worker a question over the pipe.
 
         Known probes: ``snapshot`` (mergeable metrics document),
-        ``rng`` (seed + next samples), ``queue_depth`` (per-mission
-        engine depth), ``decisions`` (cascade routing audit).
+        ``rng`` (seed + next samples), ``budget`` (the compute budget
+        as applied, :func:`repro.compute.budget_info`), ``queue_depth``
+        (per-mission engine depth), ``decisions`` (cascade routing
+        audit).
         """
         handle = self._handles[shard]
         if handle.dead:

@@ -111,12 +111,12 @@ class TestExactBlasKernels:
 
     @pytest.mark.parametrize("bits", [2, 4, 8, 16])
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_call_bitwise_equals_reference_mode(self, bits, symmetric,
-                                                monkeypatch):
+    def test_call_bitwise_equals_reference_mode(self, bits, symmetric):
+        # __call__ (fused shifted-code quantize + GEMM + requant) against
+        # the int64 reference kernel over the seed quantizer's codes.
         q, x = self._quantized(bits, symmetric)
         fast = q(x)
-        monkeypatch.setenv("REPRO_QUANT_EXACT", "1")
-        reference = q(x)
+        reference = q.forward_integer_reference(q.quantize_input(x))
         assert fast.dtype == reference.dtype == np.float32
         np.testing.assert_array_equal(fast, reference)
 
@@ -159,18 +159,6 @@ class TestExactBlasKernels:
                                      QuantSpec(bits=16, symmetric=False))
         with pytest.raises(ValueError, match="not exactly representable"):
             QuantizedLinear(weight_q, weight_params, act_params, None)
-
-    def test_escape_hatch_routes_kernel_to_reference(self, monkeypatch):
-        q, x = self._quantized(8, False)
-        calls = []
-        original = q.forward_integer_reference
-        monkeypatch.setattr(
-            q, "forward_integer_reference",
-            lambda x_q: calls.append(1) or original(x_q))
-        monkeypatch.setenv("REPRO_QUANT_EXACT", "1")
-        q.forward_integer(q.quantize_input(x))
-        assert calls, "REPRO_QUANT_EXACT=1 must use the int64 reference"
-
 
 class TestFakeQuantize:
     def test_forward_matches_array_path(self):

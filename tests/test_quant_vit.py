@@ -113,12 +113,12 @@ class TestQuantizedModel:
             assert packed - biases <= weight_codes * bits / 8 + len(q.layers)
 
     def test_fast_path_bitwise_equals_reference(self, student_vit,
-                                                calibration_images,
-                                                monkeypatch):
+                                                calibration_images):
+        from repro.quant.bench import reference_model
+
         q = quantize_vit(student_vit, calibration_images)
         fast = q(calibration_images[:4])
-        monkeypatch.setenv("REPRO_QUANT_EXACT", "1")
-        reference = q(calibration_images[:4])
+        reference = reference_model(q)(calibration_images[:4])
         for key in fast:
             if isinstance(fast[key], dict):
                 for sub in fast[key]:

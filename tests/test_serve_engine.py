@@ -248,10 +248,12 @@ class TestDetectBatch:
                                               exact=True)
 
     def test_quantized_detect_bitwise_equals_reference(self, student_vit,
-                                                       scenes, monkeypatch):
+                                                       scenes):
         """The whole detect path on BLAS kernels must reproduce the int64
-        reference path bit for bit (REPRO_QUANT_EXACT=1)."""
+        reference path bit for bit (the same detector on the reference
+        model)."""
         from repro.quant import quantize_vit
+        from repro.quant.bench import reference_model
 
         rng = np.random.default_rng(2)
         calibration = rng.random((16, 3, 32, 32)).astype(np.float32)
@@ -259,9 +261,11 @@ class TestDetectBatch:
         kg = SimulatedLLM().generate_for_task(get_task(TASK))
         detector = TaskDetector(quantized, matcher=GraphMatcher(kg),
                                 score_threshold=0.0)
+        reference_detector = TaskDetector(
+            reference_model(quantized), matcher=GraphMatcher(kg),
+            score_threshold=0.0)
         fast = detector.detect_batch(scenes[:2])
-        monkeypatch.setenv("REPRO_QUANT_EXACT", "1")
-        reference = detector.detect_batch(scenes[:2])
+        reference = reference_detector.detect_batch(scenes[:2])
         for left, right in zip(fast, reference):
             assert [d.bbox for d in left] == [d.bbox for d in right]
             assert [d.score for d in left] == [d.score for d in right]

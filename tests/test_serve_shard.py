@@ -65,7 +65,7 @@ from repro.serve import (
     shard_for_mission,
     worker_seed,
 )
-from repro.serve.shard import blas_budget, blas_threads
+from repro.compute import blas_budget, blas_threads
 
 TASK = "roadside_hazards"
 BASE_SEED = 7
