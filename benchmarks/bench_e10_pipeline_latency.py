@@ -4,11 +4,13 @@ The paper's serving story ("real-time task-oriented detection at the
 edge") depends on the *whole* pipeline — window extraction, model
 forward, knowledge-graph matching, NMS — not just the accelerator GEMMs
 that E3 times.  This benchmark runs :meth:`TaskDetector.detect` on a
-large (default 25×25-cell) scene twice: once through the seed
-reference implementation (per-cell crop loop + O(N²) Python NMS,
-``vectorized=False``) and once through the vectorized hot path, asserts
-the two produce identical detections, and reports the speedup plus a
-per-stage latency breakdown.
+large (default 25×25-cell) scene twice: once through
+:class:`repro.fuzz.ReferenceDetector` (the seed per-cell crop loop +
+O(N²) Python NMS) and once through the detector's core, asserts the two
+produce identical detections, and reports the speedup plus a per-stage
+latency breakdown.  The reference swaps only window extraction and NMS
+(it shares the core's forward chunking and scoring), so the identity
+assertion checks exactly those two steps.
 
 The stage list is **derived from the span tree** the pipeline records
 (children of the last ``detect.total`` span), not hard-coded here — if a
@@ -38,6 +40,7 @@ from benchmarks.common import finalize_benchmark, print_table
 from repro.data import SceneConfig, SceneGenerator, attribute_head_spec, get_task
 from repro.data.datasets import num_classes
 from repro.detect import TaskDetector
+from repro.fuzz import ReferenceDetector
 from repro.kg import GraphMatcher, SimulatedLLM
 from repro.nn import VisionTransformer, ViTConfig
 from repro.obs import get_registry
@@ -53,8 +56,8 @@ def _build_detectors(grid: int):
     kg = SimulatedLLM().generate_for_task(get_task("roadside_hazards"))
     scene = SceneGenerator(SceneConfig(grid=grid), seed=7).generate()
     common = dict(matcher=GraphMatcher(kg), score_threshold=0.0)
-    reference = TaskDetector(model, vectorized=False, **common)
-    vectorized = TaskDetector(model, vectorized=True, **common)
+    reference = ReferenceDetector(model, **common)
+    vectorized = TaskDetector(model, **common)
     return scene, reference, vectorized
 
 

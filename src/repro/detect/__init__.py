@@ -7,7 +7,7 @@ both classic detection quality (precision/recall/AP) and the paper's
 task-accuracy measure.
 """
 
-from repro.detect.boxes import box_iou, box_area, clip_box, nms, nms_reference
+from repro.detect.boxes import box_iou, box_area, clip_box, nms
 from repro.detect.pipeline import (
     Detection,
     SceneSignals,
@@ -31,7 +31,6 @@ __all__ = [
     "box_area",
     "clip_box",
     "nms",
-    "nms_reference",
     "Detection",
     "SceneSignals",
     "TaskDetector",

@@ -58,39 +58,13 @@ def _validate_nms_args(boxes, scores, iou_threshold: float) -> None:
         raise ValueError("iou_threshold must be in [0, 1]")
 
 
-def nms_reference(boxes: Sequence[Box], scores: Sequence[float],
-                  iou_threshold: float = 0.5) -> List[int]:
-    """Greedy non-maximum suppression — readable O(N²) loop version.
-
-    Kept as the reference oracle for :func:`nms`: the test suite asserts
-    the vectorized implementation returns identical keep lists on random
-    inputs.  Returns the indices of kept boxes, in descending score
-    order.  The classic invariants hold: kept boxes are mutually below
-    the IoU threshold, and every suppressed box overlaps some
-    higher-scoring kept box at or above it.
-    """
-    _validate_nms_args(boxes, scores, iou_threshold)
-    order = _descending_order(scores)
-    kept: List[int] = []
-    suppressed = np.zeros(len(boxes), dtype=bool)
-    for idx in order:
-        if suppressed[idx]:
-            continue
-        kept.append(int(idx))
-        for other in order:
-            if other == idx or suppressed[other]:
-                continue
-            if box_iou(boxes[idx], boxes[other]) >= iou_threshold:
-                suppressed[other] = True
-    return kept
-
-
 def nms(boxes: Sequence[Box], scores: Sequence[float],
         iou_threshold: float = 0.5) -> List[int]:
     """Greedy non-maximum suppression, vectorized.
 
-    Identical contract and keep lists as :func:`nms_reference`, but each
-    greedy step computes IoU of the top survivor against all remaining
+    Identical contract and keep lists as the O(N²) loop
+    :func:`repro.fuzz.reference.nms_reference`, but each greedy step
+    computes IoU of the top survivor against all remaining
     candidates in one batched numpy pass over precomputed areas, so the
     Python-level work is O(number of kept boxes) instead of O(N²).
     """

@@ -7,11 +7,19 @@ Both model configurations plug in through one adapter,
 contract: softmaxed class probabilities and per-family attribute
 distributions as plain numpy arrays.
 
-:class:`TaskDetector` then scans a scene's windows, computes
+:class:`TaskDetector` has one scoring core.  :func:`gather_windows`
+cuts a list of same-shaped scenes into one window batch, one
+:func:`predict_windows` forward and one :func:`score_predictions` pass
+compute
 
     score(window) = P(object) · kg_match(attribute distributions)
 
-and emits :class:`Detection` records above threshold, after NMS.
+and the scores are split per scene for threshold, NMS and
+:class:`SceneSignals`.  ``detect`` is ``detect_batch`` of one scene, and
+the streaming tracker reuses the same gather and scoring rule.  The
+per-crop extraction loop and the O(N²) NMS live in
+:mod:`repro.fuzz.reference`, as the reference the oracles, the tests and
+the E10 benchmark compare this core against.
 
 The quantized configuration's forwards run on the exact BLAS-backed
 integer kernels (:class:`~repro.quant.QuantizedLinear`): bit-identical
@@ -30,7 +38,7 @@ import numpy as np
 from repro.compute import compute_budget, forward_pool
 from repro.data.datasets import background_class_id
 from repro.data.scenes import Scene
-from repro.detect.boxes import nms, nms_reference
+from repro.detect.boxes import nms
 from repro.kg.matcher import GraphMatcher
 from repro.nn import VisionTransformer
 from repro.obs import get_registry
@@ -258,6 +266,36 @@ class Detection:
         )
 
 
+def gather_windows(
+    scenes: Sequence[Scene], stride: Optional[int] = None,
+) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
+    """All scenes' windows as one ``(N, C, S, S)`` batch, plus their boxes.
+
+    Windows are ``cell_size`` squares placed every ``stride`` pixels
+    (default: one per cell), in scene order and row-major within a
+    scene.  The scenes must share image shape and cell size, so one box
+    list describes every scene's windows.  Each scene is copied once out
+    of a strided view of its image straight into the fused batch.  A
+    scene smaller than one window yields a zero-row batch.
+    """
+    first = scenes[0]
+    size = first.cell_size
+    step = stride or size
+    channels = first.image.shape[0]
+    starts = range(0, first.size - size + 1, step)
+    windows = np.empty(
+        (len(scenes), len(starts), len(starts), channels, size, size),
+        dtype=first.image.dtype)
+    if starts:
+        for i, scene in enumerate(scenes):
+            view = np.lib.stride_tricks.sliding_window_view(
+                scene.image, (size, size), axis=(1, 2))[:, ::step, ::step]
+            # (C, ny, nx, S, S) -> (ny, nx, C, S, S)
+            windows[i] = view.transpose(1, 2, 0, 3, 4)
+    boxes = [(x0, y0, x0 + size, y0 + size) for y0 in starts for x0 in starts]
+    return windows.reshape(-1, channels, size, size), boxes
+
+
 class TaskDetector:
     """Task-oriented detector: model configuration + KG matcher.
 
@@ -273,13 +311,14 @@ class TaskDetector:
     nms_iou:
         IoU threshold for the final NMS pass (grid windows never overlap,
         but sliding-window mode produces duplicates).
-    vectorized:
-        When True (default), window extraction uses a batched
-        stride-tricks gather and NMS the batched-IoU implementation.
-        When False, both fall back to the readable per-cell / O(N²)
-        reference loops — the seed implementation, kept as an oracle for
-        tests and as the baseline in ``bench_e10_pipeline_latency``.
+    batch_size:
+        Smallest forward chunk; fused batches run bigger chunks (see
+        ``_BATCH_FORWARD_CHUNK``).
     """
+
+    # Window extraction; the reference detector in repro.fuzz swaps in
+    # its per-crop loop here and its O(N²) NMS in _suppress.
+    _gather = staticmethod(gather_windows)
 
     def __init__(
         self,
@@ -288,7 +327,6 @@ class TaskDetector:
         score_threshold: float = 0.35,
         nms_iou: float = 0.5,
         batch_size: int = 64,
-        vectorized: bool = True,
     ) -> None:
         if not 0.0 <= score_threshold <= 1.0:
             raise ValueError("score_threshold must be in [0, 1]")
@@ -297,167 +335,81 @@ class TaskDetector:
         self.score_threshold = score_threshold
         self.nms_iou = nms_iou
         self.batch_size = batch_size
-        self.vectorized = vectorized
+
+    def _suppress(self, boxes: Sequence[Tuple[int, int, int, int]],
+                  scores: Sequence[float]) -> List[int]:
+        # Looked up at call time, so a wrapped module-level nms sees it.
+        return nms(boxes, scores, iou_threshold=self.nms_iou)
 
     # ------------------------------------------------------------------
-    def _windows(self, scene: Scene,
-                 stride: Optional[int] = None) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
-        with get_registry().time("detect.window_build"):
-            if self.vectorized:
-                return self._windows_vectorized(scene, stride=stride)
-            return self._windows_loop(scene, stride=stride)
+    def _detect_scenes(
+        self, scenes: Sequence[Scene], stride: Optional[int],
+    ) -> Tuple[List[List[Detection]], List[SceneSignals]]:
+        """The scoring core: one gather, one forward, one scoring pass.
 
-    @staticmethod
-    def _window_starts(scene: Scene, stride: Optional[int]) -> Tuple[int, np.ndarray]:
-        size = scene.cell_size
-        stride = stride or size
-        limit = scene.size - size
-        starts = np.arange(0, limit + 1, stride) if limit >= 0 else np.empty(0, int)
-        return size, starts
-
-    def _windows_loop(self, scene: Scene,
-                      stride: Optional[int] = None) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
-        """Reference one-crop-per-cell extraction (seed implementation)."""
-        size, starts = self._window_starts(scene, stride)
-        boxes: List[Tuple[int, int, int, int]] = []
-        crops: List[np.ndarray] = []
-        for y0 in starts:
-            for x0 in starts:
-                bbox = (int(x0), int(y0), int(x0) + size, int(y0) + size)
-                boxes.append(bbox)
-                crops.append(scene.crop(bbox))
-        if not crops:
-            channels = scene.image.shape[0]
-            return np.zeros((0, channels, size, size), dtype=scene.image.dtype), []
-        return np.stack(crops), boxes
-
-    @staticmethod
-    def _grid_aligned(scene: Scene, size: int, stride: Optional[int]) -> bool:
-        """Windows tile the scene exactly (stride == window == cell)."""
-        return (stride or size) == size and scene.size % size == 0
-
-    def _windows_vectorized(self, scene: Scene,
-                            stride: Optional[int] = None) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
-        """Batched extraction: one strided gather builds the whole batch."""
-        size, starts = self._window_starts(scene, stride)
-        channels = scene.image.shape[0]
-        if starts.size == 0:
-            # Scene smaller than one window: no valid placements.
-            return np.zeros((0, channels, size, size), dtype=scene.image.dtype), []
-        if self._grid_aligned(scene, size, stride):
-            # Non-overlapping tiling: a pure reshape/transpose copy, far
-            # cheaper than the general strided gather below.
-            n = scene.size // size
-            windows = scene.image.reshape(channels, n, size, n, size)
-            windows = windows.transpose(1, 3, 0, 2, 4).reshape(
-                -1, channels, size, size)
-        else:
-            view = np.lib.stride_tricks.sliding_window_view(
-                scene.image, (size, size), axis=(1, 2))
-            # (C, ny, nx, S, S) -> (ny, nx, C, S, S) -> (N, C, S, S)
-            windows = view[:, starts[:, None], starts[None, :]]
-            windows = windows.transpose(1, 2, 0, 3, 4).reshape(
-                -1, channels, size, size)
-        boxes = [
-            (int(x0), int(y0), int(x0) + size, int(y0) + size)
-            for y0 in starts for x0 in starts
-        ]
-        return windows, boxes
-
-    def _windows_all(
-        self, scenes: Sequence[Scene], stride: Optional[int] = None,
-    ) -> Tuple[np.ndarray, List[List[Tuple[int, int, int, int]]]]:
-        """All scenes' windows as one ``(N, C, S, S)`` batch.
-
-        Requires homogeneous scenes (same image shape and cell size —
-        :meth:`detect_batch` checks).  The vectorized path stacks the
-        images and runs a single strided gather, so the fused batch is
-        element-identical to per-scene extraction.
+        ``scenes`` share image shape and cell size.  Their windows run
+        through :func:`predict_windows` in chunks of at least
+        ``_BATCH_FORWARD_CHUNK`` windows (divided by the compute budget
+        for the quantized configuration) and are scored once by
+        :func:`score_predictions`; the scores are then split per scene
+        for threshold, NMS and :class:`SceneSignals`.
         """
-        with get_registry().time("detect.window_build"):
-            first = scenes[0]
-            size, starts = self._window_starts(first, stride)
-            channels = first.image.shape[0]
-            if starts.size == 0:
-                empty = np.zeros((0, channels, size, size),
-                                 dtype=first.image.dtype)
-                return empty, [[] for _ in scenes]
-            if not self.vectorized:
-                parts: List[np.ndarray] = []
-                boxes_per_scene: List[List[Tuple[int, int, int, int]]] = []
-                for scene in scenes:
-                    windows, boxes = self._windows_loop(scene, stride=stride)
-                    parts.append(windows)
-                    boxes_per_scene.append(boxes)
-                return np.concatenate(parts, axis=0), boxes_per_scene
-            if self._grid_aligned(first, size, stride):
-                # Non-overlapping tiling: strided copies straight into the
-                # fused batch, one per scene — no intermediate stack, and
-                # an order of magnitude cheaper than the general gather.
-                n = first.size // size
-                windows = np.empty(
-                    (len(scenes) * n * n, channels, size, size),
-                    dtype=first.image.dtype)
-                dest = windows.reshape(len(scenes), n, n, channels, size, size)
-                for i, scene in enumerate(scenes):
-                    dest[i] = scene.image.reshape(
-                        channels, n, size, n, size).transpose(1, 3, 0, 2, 4)
-            else:
-                images = np.stack([scene.image for scene in scenes])
-                view = np.lib.stride_tricks.sliding_window_view(
-                    images, (size, size), axis=(2, 3))
-                # (B, C, ny, nx, S, S) -> (B, ny, nx, C, S, S) -> (N, C, S, S)
-                windows = view[:, :, starts[:, None], starts[None, :]]
-                windows = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-                    -1, channels, size, size)
-            boxes = [
-                (int(x0), int(y0), int(x0) + size, int(y0) + size)
-                for y0 in starts for x0 in starts
-            ]
-            return windows, [list(boxes) for _ in scenes]
-
-    # ------------------------------------------------------------------
-    def _emit(
-        self,
-        boxes: Sequence[Tuple[int, int, int, int]],
-        class_probs: np.ndarray,
-        attribute_probs: Dict[str, np.ndarray],
-        objectness: np.ndarray,
-        task_scores: np.ndarray,
-        combined: np.ndarray,
-    ) -> List[Detection]:
-        """Threshold + NMS for one scene's scored windows."""
-        candidates = [
-            Detection(
-                bbox=boxes[i],
-                score=float(combined[i]),
-                objectness=float(objectness[i]),
-                task_score=float(task_scores[i]),
-                class_id=int(class_probs[i].argmax()),
-                attribute_probs={
-                    family: probs[i] for family, probs in attribute_probs.items()
-                },
-            )
-            for i in np.flatnonzero(combined >= self.score_threshold)
-        ]
-        if not candidates:
-            return []
-        nms_fn = nms if self.vectorized else nms_reference
-        with get_registry().span("detect.nms", candidates=len(candidates)):
-            keep = nms_fn([d.bbox for d in candidates],
-                          [d.score for d in candidates],
-                          iou_threshold=self.nms_iou)
-        return [candidates[i] for i in keep]
-
-    @staticmethod
-    def _signals(combined: np.ndarray, score_threshold: float,
-                 num_detections: int) -> SceneSignals:
-        return SceneSignals(
-            margin=confidence_margin(combined, score_threshold),
-            max_combined=float(combined.max()) if combined.size else 0.0,
-            num_windows=int(combined.size),
-            num_detections=num_detections,
-        )
+        obs = get_registry()
+        with obs.time("detect.window_build"):
+            windows, boxes = self._gather(scenes, stride)
+        total = int(windows.shape[0])
+        # Larger forward chunks amortize per-call overhead across the
+        # batch; even-sized chunks avoid a slow ragged tail.  batch_size
+        # still applies when it is bigger.
+        cap = _BATCH_FORWARD_CHUNK
+        if isinstance(self.model, QuantizedVisionTransformer):
+            cap //= compute_budget()
+        chunk = max(self.batch_size, cap)
+        if total > chunk:
+            pieces = -(-total // chunk)
+            chunk = -(-total // pieces)
+        predictions = predict_windows(self.model, windows, batch_size=chunk)
+        with obs.time("detect.kg_match"):
+            objectness, task_scores, combined = score_predictions(
+                predictions, self.matcher)
+        class_probs = predictions["class_probs"]
+        attribute_probs = predictions["attribute_probs"]
+        n = len(boxes)
+        # One vectorized threshold pass; scenes without a candidate skip
+        # emission entirely.
+        passed = combined >= self.score_threshold
+        results: List[List[Detection]] = []
+        signals: List[SceneSignals] = []
+        for index in range(len(scenes)):
+            first = index * n
+            hits = np.flatnonzero(passed[first:first + n])
+            detections: List[Detection] = []
+            if hits.size:
+                candidates = [
+                    Detection(
+                        bbox=boxes[hit],
+                        score=float(combined[row]),
+                        objectness=float(objectness[row]),
+                        task_score=float(task_scores[row]),
+                        class_id=int(class_probs[row].argmax()),
+                        attribute_probs={family: probs[row] for family, probs
+                                         in attribute_probs.items()},
+                    )
+                    for hit, row in zip(hits, hits + first)
+                ]
+                with obs.span("detect.nms", candidates=len(candidates)):
+                    keep = self._suppress([d.bbox for d in candidates],
+                                          [d.score for d in candidates])
+                detections = [candidates[i] for i in keep]
+            scene_scores = combined[first:first + n]
+            results.append(detections)
+            signals.append(SceneSignals(
+                margin=confidence_margin(scene_scores, self.score_threshold),
+                max_combined=float(scene_scores.max()) if n else 0.0,
+                num_windows=n,
+                num_detections=len(detections),
+            ))
+        return results, signals
 
     def detect(self, scene: Scene, stride: Optional[int] = None) -> List[Detection]:
         return self.detect_with_signals(scene, stride=stride)[0]
@@ -467,28 +419,18 @@ class TaskDetector:
     ) -> Tuple[List[Detection], SceneSignals]:
         """:meth:`detect` plus the scene's :class:`SceneSignals`.
 
-        The signals come from the same scored windows as the detections;
-        ``detect`` is exactly this with the signals dropped.
+        Exactly :meth:`detect_batch_with_signals` of ``[scene]`` (same
+        core, same forward chunks), recorded as one ``detect.total``
+        span.  ``detect`` is this with the signals dropped.
         """
-        obs = get_registry()
         task_name = self.matcher.kg.task_name if self.matcher is not None else None
-        with obs.span("detect.total", task=task_name, grid=scene.grid,
-                      vectorized=self.vectorized) as span:
+        with get_registry().span("detect.total", task=task_name,
+                                 grid=scene.grid) as span:
             _attr_deadline(span)
-            windows, boxes = self._windows(scene, stride=stride)
-            span.set_attr(windows=len(boxes))
-            predictions = predict_windows(self.model, windows,
-                                          batch_size=self.batch_size)
-            with obs.time("detect.kg_match"):
-                objectness, task_scores, combined = score_predictions(
-                    predictions, self.matcher)
-            detections = self._emit(
-                boxes, predictions["class_probs"],
-                predictions["attribute_probs"],
-                objectness, task_scores, combined)
-            span.set_attr(detections=len(detections))
-            return detections, self._signals(
-                combined, self.score_threshold, len(detections))
+            [detections], [signals] = self._detect_scenes([scene], stride)
+            span.set_attr(windows=signals.num_windows,
+                          detections=signals.num_detections)
+            return detections, signals
 
     def detect_batch(self, scenes: Sequence[Scene],
                      stride: Optional[int] = None) -> List[List[Detection]]:
@@ -510,78 +452,28 @@ class TaskDetector:
         is bit-identical to per-scene :meth:`detect`.  Float models agree
         on boxes and keep order, with scores equal to within one or two
         ulps (BLAS GEMM tiling varies with batch size on the narrow
-        attribute heads).
+        attribute heads); a one-scene batch is bit-identical to
+        :meth:`detect` on either configuration.
 
         Scenes with different image shapes or cell sizes cannot share a
-        forward; those fall back to per-scene detection (still under the
-        ``detect.batch_total`` span).
+        forward; those run through the core one scene at a time, all
+        under the one ``detect.batch_total`` span.
         """
         scenes = list(scenes)
-        obs = get_registry()
-        task_name = self.matcher.kg.task_name if self.matcher is not None else None
         if not scenes:
             return [], []
-        with obs.span("detect.batch_total", task=task_name,
-                      scenes=len(scenes), vectorized=self.vectorized) as span:
+        task_name = self.matcher.kg.task_name if self.matcher is not None else None
+        with get_registry().span("detect.batch_total", task=task_name,
+                                 scenes=len(scenes)) as span:
             _attr_deadline(span)
-            if len({(s.image.shape, s.cell_size) for s in scenes}) > 1:
-                span.set_attr(fused=False)
-                pairs = [self.detect_with_signals(scene, stride=stride)
-                         for scene in scenes]
-                return [p[0] for p in pairs], [p[1] for p in pairs]
-            windows, boxes_per_scene = self._windows_all(scenes, stride=stride)
-            counts = [len(boxes) for boxes in boxes_per_scene]
-            total = int(windows.shape[0])
-            span.set_attr(windows=total, fused=True)
-            # Larger forward chunks amortize per-call overhead across the
-            # batch; even-sized chunks avoid a slow ragged tail.  Per-scene
-            # batch_size still applies when it is bigger.
-            cap = _BATCH_FORWARD_CHUNK
-            if isinstance(self.model, QuantizedVisionTransformer):
-                cap //= compute_budget()
-            chunk = max(self.batch_size, cap)
-            if total > chunk:
-                pieces = -(-total // chunk)
-                chunk = -(-total // pieces)
-            predictions = predict_windows(self.model, windows, batch_size=chunk)
-            class_probs = predictions["class_probs"]
-            attribute_probs = predictions["attribute_probs"]
-            with obs.time("detect.kg_match"):
-                objectness = 1.0 - class_probs[:, background_class_id()]
-                if "task_probs" in predictions:
-                    task_scores = predictions["task_probs"]
-                elif self.matcher is not None:
-                    # Row-wise scoring: one match over the concatenated
-                    # batch equals per-scene matching (see match_batch,
-                    # which adds the per-scene result split when needed).
-                    task_scores = self.matcher.match_distributions(
-                        attribute_probs).score
-                else:
-                    task_scores = np.ones_like(objectness)
-                combined = objectness * task_scores
+            fused = len({(s.image.shape, s.cell_size) for s in scenes}) == 1
             results: List[List[Detection]] = []
             signals: List[SceneSignals] = []
-            emitted = 0
-            start = 0
-            # One vectorized threshold pass; scenes without a candidate
-            # skip slicing and emission entirely.
-            passed = combined >= self.score_threshold
-            for boxes, n in zip(boxes_per_scene, counts):
-                rows = slice(start, start + n)
-                if not passed[rows].any():
-                    results.append([])
-                    signals.append(self._signals(
-                        combined[rows], self.score_threshold, 0))
-                    start += n
-                    continue
-                detections = self._emit(
-                    boxes, class_probs[rows],
-                    {f: p[rows] for f, p in attribute_probs.items()},
-                    objectness[rows], task_scores[rows], combined[rows])
-                results.append(detections)
-                signals.append(self._signals(
-                    combined[rows], self.score_threshold, len(detections)))
-                emitted += len(detections)
-                start += n
-            span.set_attr(detections=emitted)
+            for group in [scenes] if fused else [[s] for s in scenes]:
+                group_results, group_signals = self._detect_scenes(group, stride)
+                results += group_results
+                signals += group_signals
+            span.set_attr(windows=sum(s.num_windows for s in signals),
+                          detections=sum(s.num_detections for s in signals),
+                          fused=fused)
             return results, signals

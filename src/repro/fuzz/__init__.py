@@ -5,7 +5,8 @@ scenarios; differential oracles run each one across the float,
 quantized, batched, engine, and streaming implementations of the same
 detection math and record any disagreement as a replayable JSON case;
 a shrink loop minimizes failures and a committed seed corpus pins one
-scenario per historical bug.
+scenario per historical bug.  :mod:`repro.fuzz.reference` holds the
+loop window extraction and NMS the detection core is checked against.
 """
 
 from repro.fuzz.corpus import (
@@ -18,6 +19,7 @@ from repro.fuzz.corpus import (
 )
 from repro.fuzz.operators import all_operators, generate_scenario
 from repro.fuzz.oracles import ORACLES, Divergence
+from repro.fuzz.reference import ReferenceDetector, nms_reference
 from repro.fuzz.runner import (
     CampaignReport,
     CaseResult,
@@ -39,6 +41,7 @@ __all__ = [
     "ExecutionContext",
     "ModelCache",
     "ModelSpec",
+    "ReferenceDetector",
     "ScenarioSpec",
     "ScriptedSequence",
     "all_operators",
@@ -49,6 +52,7 @@ __all__ = [
     "generate_scenario",
     "iter_corpus",
     "load_case",
+    "nms_reference",
     "replay_case",
     "run_campaign",
     "run_scenario",

@@ -5,12 +5,13 @@ implementations of the same detection math and asserts agreement:
 
 * ``static_paths`` — per-scene ``detect`` vs fused ``detect_batch`` vs
   the micro-batching ``DetectionEngine``, for the float and the
-  quantized configuration, plus vectorized vs reference-loop extraction
-  and NMS.  The quantized path must agree **bit for bit** (the exact
-  BLAS kernels are batch-invariant by construction); the float path
-  must agree on the kept boxes with scores equal to within a few ulps —
-  box-set differences are excused only when the disagreeing score sits
-  within ``_SCORE_ATOL`` of the decision threshold.
+  quantized configuration, plus the core vs the reference-loop
+  extraction and NMS of :mod:`repro.fuzz.reference`.  The quantized
+  path must agree **bit for bit** (the exact BLAS kernels are
+  batch-invariant by construction); the float path must agree on the
+  kept boxes with scores equal to within a few ulps — box-set
+  differences are excused only when the disagreeing score sits within
+  ``_SCORE_ATOL`` of the decision threshold.
 * ``stream_fused`` — ``StreamingDetector.update`` frame by frame vs one
   fused ``update_many`` chunk, bit-exact on the quantized model and
   tolerance-checked on the float model.
@@ -39,6 +40,7 @@ import numpy as np
 
 from repro.data.tasks import TaskDefinition
 from repro.detect.pipeline import Detection, TaskDetector
+from repro.fuzz.reference import ReferenceDetector
 from repro.fuzz.scenario import ScenarioSpec, ScriptedSequence
 from repro.stream.sequence import FrameState
 from repro.stream.tracker import Track
@@ -199,7 +201,7 @@ def _track_dict(track: Track) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 def oracle_static_paths(spec: ScenarioSpec,
                         ctx: "ExecutionContext") -> List[Divergence]:
-    """detect == detect_batch == engine, and vectorized == reference."""
+    """detect == detect_batch == engine, and core == reference."""
     divergences: List[Divergence] = []
     scenes = ctx.scenes
     threshold = spec.score_threshold
@@ -218,10 +220,10 @@ def oracle_static_paths(spec: ScenarioSpec,
         divergences += compare_detections(
             "static_paths", f"{kind}:engine_vs_sequential",
             sequential, engine_results, exact=exact, threshold=threshold)
-    reference_detector = ctx.make_detector("float", vectorized=False)
+    reference_detector = ctx.make_detector("float", ReferenceDetector)
     reference = [reference_detector.detect(scene) for scene in scenes]
     divergences += compare_detections(
-        "static_paths", "float:vectorized_vs_reference",
+        "static_paths", "float:core_vs_reference",
         float_sequential, reference, exact=False, threshold=threshold)
     return divergences
 

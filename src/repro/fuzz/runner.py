@@ -167,11 +167,11 @@ class ExecutionContext:
             return self.quantized_model
         raise ValueError(f"unknown model kind {kind!r}")
 
-    def make_detector(self, kind: str, vectorized: bool = True) -> TaskDetector:
-        return TaskDetector(
+    def make_detector(self, kind: str,
+                      detector_cls: type = TaskDetector) -> TaskDetector:
+        return detector_cls(
             self.model_for(kind), matcher=self.matcher,
-            score_threshold=self.spec.score_threshold,
-            vectorized=vectorized)
+            score_threshold=self.spec.score_threshold)
 
     def make_stream(self, kind: str, gated: Optional[bool] = None,
                     motion_threshold: Optional[float] = None,

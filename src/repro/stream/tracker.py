@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.scenes import Scene
-from repro.detect.pipeline import ModelLike, score_windows
+from repro.detect.pipeline import ModelLike, gather_windows, score_windows
 from repro.kg.matcher import GraphMatcher
 from repro.obs import get_registry
 
@@ -152,27 +152,40 @@ class StreamingDetector:
     # ------------------------------------------------------------------
     @staticmethod
     def _cells_and_windows(scene: Scene) -> Tuple[List[Tuple[int, int]], np.ndarray]:
-        cells = []
-        windows = []
-        for row, col, _bbox, window in scene.iter_cells():
-            cells.append((row, col))
-            windows.append(window)
-        if windows:
-            return cells, np.stack(windows)
-        # Zero-cell scene (degenerate grid): a well-formed zero-row batch
-        # rides the same empty-batch path predict_windows already guards,
-        # instead of crashing in np.stack on an empty list.
-        channels = scene.image.shape[0] if scene.image.ndim == 3 else 3
-        return cells, np.zeros(
-            (0, channels, scene.cell_size, scene.cell_size),
-            dtype=scene.image.dtype if scene.image.size else np.float32)
+        """The scene's ``(row, col)`` cells and their windows, row-major.
 
-    def _cell_scores(self, scene: Scene) -> Dict[Tuple[int, int], float]:
-        cells, windows = self._cells_and_windows(scene)
-        # Same scoring rule as TaskDetector — one shared implementation.
+        The detector's own gather; a zero-cell scene (degenerate grid)
+        yields a well-formed zero-row batch.
+        """
+        windows, boxes = gather_windows([scene])
+        size = scene.cell_size
+        return [(y0 // size, x0 // size) for x0, y0, _, _ in boxes], windows
+
+    def _score_frames(
+        self, scenes: Sequence[Scene],
+    ) -> List[Dict[Tuple[int, int], float]]:
+        """Raw ``{cell: score}`` of each frame from one fused forward.
+
+        The ungated scorer: the windows of every frame run through a
+        single :func:`score_windows` call (the same scoring rule as
+        :class:`TaskDetector`), then split back per frame.  An ungated
+        :meth:`update` is the one-frame case.
+        """
+        frames = [self._cells_and_windows(scene) for scene in scenes]
+        # Zero-cell frames contribute zero-row parts; dropping them keeps
+        # the concatenate well-formed even when frame shapes differ only
+        # through degenerate grids (an all-empty chunk scores nothing).
+        parts = ([windows for _, windows in frames if windows.shape[0]]
+                 or [frames[0][1]])
+        windows = parts[0] if len(parts) == 1 else np.concatenate(parts)
         combined = score_windows(self.model, windows, self.matcher,
                                  batch_size=self.batch_size)
-        return dict(zip(cells, combined))
+        raws: List[Dict[Tuple[int, int], float]] = []
+        start = 0
+        for cells, _ in frames:
+            raws.append(dict(zip(cells, combined[start:start + len(cells)])))
+            start += len(cells)
+        return raws
 
     def _matcher_version(self) -> int:
         """KG edit counter the cached matcher results are keyed on."""
@@ -181,7 +194,7 @@ class StreamingDetector:
     def _gated_scores(self, scene: Scene) -> Dict[Tuple[int, int], float]:
         """Raw cell scores with frame-delta gating (see module docstring).
 
-        Returns the same ``{cell: score}`` map ``_cell_scores`` would,
+        Returns the same ``{cell: score}`` map ``_score_frames`` would,
         in the same cell order (track birth order depends on it), but
         only sends changed cells through the model; unchanged cells
         reuse the cached score of their last scoring pass — so gated
@@ -253,7 +266,7 @@ class StreamingDetector:
             if self.config.delta_gate:
                 raw = self._gated_scores(scene)
             else:
-                raw = self._cell_scores(scene)
+                [raw] = self._score_frames([scene])
             return self._advance(raw)
 
     def update_many(self, scenes: Sequence[Scene]) -> List[List[Track]]:
@@ -277,32 +290,11 @@ class StreamingDetector:
         if self.config.delta_gate:
             return [[dataclasses.replace(t) for t in self.update(scene)]
                     for scene in scenes]
-        per_frame_cells: List[List[Tuple[int, int]]] = []
-        parts: List[np.ndarray] = []
-        for scene in scenes:
-            cells, windows = self._cells_and_windows(scene)
-            per_frame_cells.append(cells)
-            parts.append(windows)
-        # Zero-cell frames contribute zero-row parts; dropping them keeps
-        # the concatenate well-formed even when frame shapes differ only
-        # through degenerate grids (an all-empty chunk scores nothing).
-        nonempty = [p for p in parts if p.shape[0]]
-        all_windows = (np.concatenate(nonempty, axis=0) if nonempty
-                       else parts[0])
-        combined = score_windows(self.model, all_windows, self.matcher,
-                                 batch_size=self.batch_size)
-        snapshots: List[List[Track]] = []
-        start = 0
-        for cells in per_frame_cells:
-            stop = start + len(cells)
-            raw = dict(zip(cells, combined[start:stop]))
-            # Deep-copy the snapshot: tracks are mutable and advance in
-            # place on later frames, so sharing the Track objects would
-            # silently rewrite frame 0's scores to frame k's.
-            snapshots.append([dataclasses.replace(t)
-                              for t in self._advance(raw)])
-            start = stop
-        return snapshots
+        # Deep-copy each snapshot: tracks are mutable and advance in
+        # place on later frames, so sharing the Track objects would
+        # silently rewrite frame 0's scores to frame k's.
+        return [[dataclasses.replace(t) for t in self._advance(raw)]
+                for raw in self._score_frames(scenes)]
 
     def _advance(self, raw: Dict[Tuple[int, int], float]) -> List[Track]:
         """Advance one frame of EMA + hysteresis from raw cell scores.

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.detect import box_area, box_iou, clip_box, nms, nms_reference
+from repro.detect import box_area, box_iou, clip_box, nms
+from repro.fuzz.reference import nms_reference
 
 
 def boxes_strategy():

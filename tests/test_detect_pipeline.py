@@ -7,6 +7,8 @@ from repro.data import SceneConfig, SceneGenerator, get_task
 from repro.data.datasets import background_class_id, num_classes
 from repro.data.scenes import Scene
 from repro.detect import TaskDetector, predict_windows, task_accuracy
+from repro.detect.pipeline import gather_windows
+from repro.fuzz.reference import ReferenceDetector, windows_loop
 from repro.kg import GraphMatcher, SimulatedLLM
 from repro.quant import quantize_vit
 
@@ -60,13 +62,11 @@ class TestPredictWindows:
 
 class TestTaskDetector:
     def test_grid_window_count(self, student_vit, scene):
-        detector = TaskDetector(student_vit, score_threshold=0.0)
-        windows, boxes = detector._windows(scene)
+        windows, boxes = gather_windows([scene])
         assert windows.shape[0] == scene.grid ** 2 == len(boxes)
 
     def test_sliding_stride(self, student_vit, scene):
-        detector = TaskDetector(student_vit, score_threshold=0.0)
-        windows, _ = detector._windows(scene, stride=16)
+        windows, _ = gather_windows([scene], stride=16)
         expected = ((scene.size - scene.cell_size) // 16 + 1) ** 2
         assert windows.shape[0] == expected
 
@@ -109,19 +109,17 @@ class TestTaskDetector:
         """Regression: a scene below one cell used to crash np.stack([])."""
         tiny = Scene(image=np.zeros((3, 16, 16), dtype=np.float32),
                      objects=[], grid=1, cell_size=32)
-        for vectorized in (True, False):
-            detector = TaskDetector(student_vit, score_threshold=0.0,
-                                    vectorized=vectorized)
-            windows, boxes = detector._windows(tiny)
+        for detector_cls in (TaskDetector, ReferenceDetector):
+            detector = detector_cls(student_vit, score_threshold=0.0)
+            windows, boxes = detector._gather([tiny])
             assert windows.shape == (0, 3, 32, 32)
             assert boxes == []
             assert detector.detect(tiny) == []
 
     def test_windows_vectorized_matches_loop(self, student_vit, scene):
-        detector = TaskDetector(student_vit, score_threshold=0.0)
         for stride in (None, 16, 24):
-            vec_windows, vec_boxes = detector._windows_vectorized(scene, stride=stride)
-            loop_windows, loop_boxes = detector._windows_loop(scene, stride=stride)
+            vec_windows, vec_boxes = gather_windows([scene], stride=stride)
+            loop_windows, loop_boxes = windows_loop([scene], stride=stride)
             assert vec_boxes == loop_boxes
             np.testing.assert_array_equal(vec_windows, loop_windows)
 
@@ -130,15 +128,54 @@ class TestTaskDetector:
         matcher = GraphMatcher(SimulatedLLM().generate_for_task(task))
         for stride in (None, 16):
             results = []
-            for vectorized in (True, False):
-                detector = TaskDetector(student_vit, matcher=matcher,
-                                        score_threshold=0.0,
-                                        vectorized=vectorized)
+            for detector_cls in (TaskDetector, ReferenceDetector):
+                detector = detector_cls(student_vit, matcher=matcher,
+                                        score_threshold=0.0)
                 results.append(detector.detect(scene, stride=stride))
             vec, ref = results
             assert [d.bbox for d in vec] == [d.bbox for d in ref]
             np.testing.assert_allclose([d.score for d in vec],
                                        [d.score for d in ref], rtol=1e-12)
+
+    def test_float_detect_equals_one_scene_batch(self, student_vit):
+        """detect is detect_batch of one scene: same forward chunks, so
+        detections and signals agree bit for bit on the float model."""
+        task = get_task("stop_control")
+        matcher = GraphMatcher(SimulatedLLM().generate_for_task(task))
+        detector = TaskDetector(student_vit, matcher=matcher,
+                                score_threshold=0.0)
+        for grid, stride, windows in ((6, 8, 441), (12, None, 144)):
+            scene = SceneGenerator(SceneConfig(grid=grid), seed=grid).generate()
+            single, single_signals = detector.detect_with_signals(
+                scene, stride=stride)
+            [batch], [batch_signals] = detector.detect_batch_with_signals(
+                [scene], stride=stride)
+            assert single_signals.num_windows == windows
+            assert single_signals == batch_signals
+            _assert_same_detections(single, batch)
+
+    def test_mixed_shape_batch_has_no_nested_detect_total(self, student_vit):
+        """Scenes that cannot share a forward run through the core one
+        at a time, inside detect.batch_total and without detect.total."""
+        from repro.obs import Registry, install_registry
+
+        scenes = [SceneGenerator(SceneConfig(grid=grid), seed=grid).generate()
+                  for grid in (3, 4, 3)]
+        detector = TaskDetector(student_vit, score_threshold=0.0)
+        expected = [detector.detect_with_signals(scene) for scene in scenes]
+        registry = Registry("mixed-batch")
+        previous = install_registry(registry)
+        try:
+            results, signals = detector.detect_batch_with_signals(scenes)
+        finally:
+            install_registry(previous)
+        names = [span.name for span in registry.spans]
+        assert names.count("detect.batch_total") == 1
+        assert "detect.total" not in names
+        for (detections, scene_signals), got, got_signals in zip(
+                expected, results, signals):
+            assert scene_signals == got_signals
+            _assert_same_detections(detections, got)
 
     def test_task_accuracy_range(self, student_vit):
         task = get_task("roadside_hazards")
@@ -148,3 +185,14 @@ class TestTaskDetector:
         assert 0.0 <= acc <= 1.0
         acc_hard = task_accuracy(detector, scenes, task, object_cells_only=True)
         assert 0.0 <= acc_hard <= 1.0
+
+
+def _assert_same_detections(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert (a.bbox, a.score, a.objectness, a.task_score, a.class_id) == (
+            b.bbox, b.score, b.objectness, b.task_score, b.class_id)
+        assert a.attribute_probs.keys() == b.attribute_probs.keys()
+        for family in a.attribute_probs:
+            np.testing.assert_array_equal(a.attribute_probs[family],
+                                          b.attribute_probs[family])

@@ -112,7 +112,7 @@ class TestStreamingDetector:
         # drive with synthetic scores by monkeypatching the scorer
         cells = [(0, 0)]
         scores = iter([0.5, 0.1, 0.1, 0.5])
-        detector._cell_scores = lambda scene: {cells[0]: next(scores)}
+        detector._score_frames = lambda scenes: [{cells[0]: next(scores)}]
         seq = SceneSequence(seed=9)
         scene = seq.step().scene
         for _ in range(4):
@@ -351,6 +351,25 @@ class TestDeltaGating:
     """Property: gated == full recompute (the correctness contract)."""
 
     BASE = dict(on_threshold=0.2, off_threshold=0.1)
+
+    @pytest.mark.parametrize("grid", [0, 1, 3, 8])
+    def test_cells_and_windows_match_iter_cells(self, grid):
+        """The tracker's gather (the detector's) returns the bytes and
+        row-major cell order of the ``iter_cells`` crops, which the
+        gate fingerprints are taken from."""
+        from repro.data import SceneGenerator
+        from repro.stream.tracker import _window_fingerprint
+
+        scene = SceneGenerator(SceneConfig(grid=grid), seed=grid).generate()
+        cells, windows = StreamingDetector._cells_and_windows(scene)
+        crops = list(scene.iter_cells())
+        assert cells == [(row, col) for row, col, _, _ in crops]
+        assert windows.shape == (len(crops), 3, scene.cell_size,
+                                 scene.cell_size)
+        assert windows.dtype == scene.image.dtype
+        for window, (_, _, _, crop) in zip(windows, crops):
+            assert window.tobytes() == np.ascontiguousarray(crop).tobytes()
+            assert _window_fingerprint(window) == _window_fingerprint(crop)
 
     @pytest.mark.parametrize("tracker_kwargs,sequence_kwargs", [
         # default smoothing/hysteresis, mostly-static feed
