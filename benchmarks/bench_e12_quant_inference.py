@@ -42,7 +42,6 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from benchmarks.common import finalize_benchmark, print_table
-from repro.compute import blas_threads, compute_budget
 from repro.obs import get_registry
 from repro.quant.bench import (
     compare_engine_configurations,
@@ -114,10 +113,7 @@ def main():
     smoke = "--smoke" in sys.argv[1:]
     tables, forward_speedup = run_experiment(smoke=smoke)
     _print_results(tables)
-    finalize_benchmark("e12_quant_inference", manifest_extra={
-        "blas_threads": blas_threads(),
-        "forward_workers": compute_budget(),
-    }, **tables)
+    finalize_benchmark("e12_quant_inference", **tables)
     failed = False
     if not smoke and forward_speedup < SPEEDUP_TARGET:
         print(f"WARNING: end-to-end quantized forward speedup "

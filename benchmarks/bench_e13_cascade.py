@@ -23,9 +23,12 @@ Held-out rows are reported alongside for generalization honesty but are
 not gated — with tens of scenes the specialist delta is small enough
 that held-out recovery is noise-dominated.
 
-Calibrations persist through :class:`repro.cascade.CalibrationStore`
-under the artifact registry, where ``repro cascade show`` and the
-serving path can load them.
+Full-mode calibrations persist through
+:class:`repro.cascade.CalibrationStore` under the artifact registry,
+where ``repro cascade show`` and the serving path load them.  Smoke
+calibrations (too few scenes to deploy) go to a store under a fresh
+temporary registry root, so a smoke run never overwrites the shipped
+files.
 
 Run standalone:
 
@@ -39,7 +42,9 @@ persist telemetry to ``BENCH_e13_cascade.json``.
 """
 
 import os
+import shutil
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -60,6 +65,7 @@ from repro.cascade import (
     calibrate_margin_threshold,
     scene_cell_accuracy,
 )
+from repro.core import ModelRegistry
 from repro.data import SceneConfig, SceneGenerator, get_task
 from repro.detect import TaskDetector
 from repro.hw import AcceleratorConfig, Compiler, GPUConfig, GPUModel, Simulator
@@ -99,8 +105,20 @@ def _detector(model, task_name):
                         score_threshold=DECISION_THRESHOLD)
 
 
+def calibration_store(smoke: bool) -> CalibrationStore:
+    """The shipped store in full mode; a temporary one for smoke runs."""
+    if not smoke:
+        return CalibrationStore(builder().registry)
+    return CalibrationStore(
+        ModelRegistry(tempfile.mkdtemp(prefix="e13-smoke-")))
+
+
 def run_experiment(smoke: bool = False):
-    """Calibrate + deploy the cascade per task; returns (tables, gate_row)."""
+    """Calibrate + deploy the cascade per task.
+
+    Returns ``(tables, gate_row, store)``; ``store`` holds the run's
+    calibrations (see :func:`calibration_store`).
+    """
     registry = get_registry()
     registry.reset()  # isolate this run's spans for the share gate
     tasks = TASKS[:1] if smoke else TASKS
@@ -108,7 +126,7 @@ def run_experiment(smoke: bool = False):
 
     cost = measure_cost_ratio()
     ratio = cost["cost_ratio"]
-    store = CalibrationStore(builder().registry)
+    store = calibration_store(smoke)
     quantized = quantized_configuration().model
 
     calibration_rows = []
@@ -174,7 +192,7 @@ def run_experiment(smoke: bool = False):
     }
     gate_row = next((row for row in calibration_rows
                      if row["task"] == GATE_TASK), None)
-    return tables, gate_row
+    return tables, gate_row, store
 
 
 def run_overload_replay(smoke: bool = False):
@@ -275,16 +293,28 @@ def _print_results(tables) -> None:
 
 
 def test_e13_cascade(benchmark):
-    tables, gate_row = benchmark.pedantic(
+    shipped = os.path.join(CalibrationStore(builder().registry).root,
+                           f"{GATE_TASK}.json")
+    with open(shipped, "rb") as fh:
+        shipped_bytes = fh.read()
+    tables, gate_row, store = benchmark.pedantic(
         run_experiment, kwargs={"smoke": True}, rounds=1, iterations=1)
-    _print_results(tables)
-    assert tables["costs"][0]["cost_ratio"] > 1.0
-    assert gate_row is not None
-    # Smoke scenes are too few to gate recovery; check the sweep is sane.
-    assert 0.0 <= gate_row["escalation"] <= 1.0
-    assert gate_row["rel_cost"] <= 1.0 + 1.0 / tables["costs"][0]["cost_ratio"]
-    # The calibration must have persisted where the CLI can find it.
-    assert CalibrationStore(builder().registry).exists(GATE_TASK)
+    try:
+        _print_results(tables)
+        assert tables["costs"][0]["cost_ratio"] > 1.0
+        assert gate_row is not None
+        # Smoke scenes are too few to gate recovery; check the sweep is sane.
+        assert 0.0 <= gate_row["escalation"] <= 1.0
+        assert (gate_row["rel_cost"]
+                <= 1.0 + 1.0 / tables["costs"][0]["cost_ratio"])
+        # The smoke calibration persisted to its own store ...
+        assert (store.load(GATE_TASK).margin_threshold
+                == gate_row["threshold"])
+        # ... and the shipped one that serving loads is untouched.
+        with open(shipped, "rb") as fh:
+            assert fh.read() == shipped_bytes
+    finally:
+        shutil.rmtree(store.registry.root, ignore_errors=True)
 
 
 def test_e13_overload_tracing(benchmark):
@@ -299,7 +329,9 @@ def test_e13_overload_tracing(benchmark):
 
 def main():
     smoke = "--smoke" in sys.argv[1:]
-    tables, gate_row = run_experiment(smoke=smoke)
+    tables, gate_row, store = run_experiment(smoke=smoke)
+    if smoke:
+        shutil.rmtree(store.registry.root, ignore_errors=True)
     overload_rows, shed_exemplars = run_overload_replay(smoke=smoke)
     tables["overload"] = overload_rows
     tables["shed_exemplars"] = shed_exemplars

@@ -41,8 +41,10 @@ swings ~2x run to run.
 Each shard worker applies a compute budget of usable CPUs // shards
 (see :func:`repro.compute.apply_budget`): its OpenBLAS pools run that
 many threads, and a multi-chunk quantized forward runs on that many
-chunk threads.  The telemetry manifest records the front-end's and
-every shard's BLAS thread counts and forward workers.
+chunk threads.  The telemetry manifest records the front-end's budget
+(as every run manifest does); the ``shard_budgets`` table records each
+shard's BLAS thread counts and forward workers, which only the shards'
+ready handshakes can report.
 
 **Always checked, both modes**: the front-end's merged ``/snapshot``
 (served over HTTP by :meth:`ShardRouter.serve_metrics`) is
@@ -377,31 +379,30 @@ def _print_results(tables) -> None:
 
 
 def _finalize(tables, merged) -> str:
-    """Persist telemetry with the cross-shard merged snapshot as the
-    ``merge`` block, so downstream SLO gates evaluate the sharded tier
-    (worker registries), not this front-end process."""
+    """Persist telemetry with the cross-shard merged snapshot as
+    ``shards`` next to this front-end's own ``merge``, so the SLO gate
+    evaluates the sharded tier (worker registries) while the share gate
+    reads the front-end's stages."""
     from repro.obs import build_telemetry, write_telemetry
 
-    registry = get_registry()
+    blas, workers = tables["blas_threads"], tables["forward_workers"]
+    shard_budgets = [
+        {"shard": index, "forward_workers": forward, "blas_threads": threads}
+        for index, (forward, threads) in enumerate(
+            zip(workers["shards"], blas["shards"]))]
     doc = build_telemetry(
         "e15_load",
-        registry=registry,
+        registry=get_registry(),
         rows=tables["rows"],
-        tables={"workload": tables["workload"]},
+        tables={"workload": tables["workload"],
+                "shard_budgets": shard_budgets},
         seed=SEED,
-        manifest_extra={
-            "blas_threads": tables["blas_threads"],
-            "forward_workers": tables["forward_workers"],
-            "counters": {name: counter.value
-                         for name, counter in registry.counters.items()},
-            "dropped_spans": registry.dropped_spans,
-        },
+        shards=merged,
     )
-    doc["merge"] = merged
     # An open-loop run records one span per arrival — tens of thousands
-    # of them.  The gates read obs.timers and merge only, so keep the
+    # of them.  The gates read merge and shards only, so keep the
     # document reviewable instead of shipping megabytes of spans.
-    doc["obs"]["spans"] = []
+    doc["spans"] = []
     path = os.path.join(bench_output_dir(), "BENCH_e15_load.json")
     write_telemetry(path, doc)
     print(f"[telemetry] wrote {path}")

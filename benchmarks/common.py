@@ -15,8 +15,9 @@ Each benchmark module exposes
 * a ``main()`` so ``python benchmarks/bench_eN_*.py`` works standalone.
 
 Standalone runs end with :func:`finalize_benchmark`, which writes the
-run's telemetry — run manifest (git sha, seed, platform), per-stage span
-stats with p50/p90/p99, counters, and the experiment rows — to
+run's telemetry — run manifest (git sha, seed, platform, CPUs), the
+registry's mergeable snapshot (per-stage timers with histograms,
+counters, distributions), spans, and the experiment rows — to
 ``BENCH_<name>.json`` next to the repository root (override the
 directory with ``REPRO_BENCH_DIR``).  Those files are the durable perf
 trajectory: ``repro obs report/trace/compare`` consume them, and CI
@@ -153,40 +154,24 @@ def finalize_benchmark(
     rows: Optional[Sequence[Dict]] = None,
     seed: Optional[int] = EVAL_SEED,
     out: Optional[str] = None,
-    manifest_extra: Optional[Dict] = None,
     **tables: Sequence[Dict],
 ) -> str:
     """Persist one standalone benchmark run as ``BENCH_<name>.json``.
 
     ``rows`` is the experiment's primary table; extra keyword tables are
     stored under their argument name.  The document also captures the
-    global obs registry (span tree, p50/p90/p99 per stage, counters —
-    including the ``artifacts.*`` cache traffic) and a run manifest, so
-    every E-row in EXPERIMENTS.md can cite its provenance.  The manifest
-    carries the counter snapshot and the span-buffer drop count so a
-    truncated trace (``dropped_spans > 0``) is visible at a glance in
-    the provenance header, not just deep in the obs block;
-    ``manifest_extra`` adds run-specific provenance (thread budgets).
+    global obs registry as its mergeable snapshot (every timer, counter
+    and distribution — including the ``artifacts.*`` cache traffic —
+    plus the span-buffer drop count) and span list, and a run manifest
+    with the host's CPU count and compute budget, so every E-row in
+    EXPERIMENTS.md can cite its provenance.
     """
-    from repro.obs import build_telemetry, get_registry, write_telemetry
+    from repro.obs import build_telemetry, write_telemetry
 
-    registry = get_registry()
-    dropped = registry.dropped_spans
-    doc = build_telemetry(
-        name,
-        registry=registry,
-        rows=rows,
-        tables=tables or None,
-        seed=seed,
-        manifest_extra={
-            **(manifest_extra or {}),
-            "counters": {cname: counter.value
-                         for cname, counter in registry.counters.items()},
-            "dropped_spans": dropped,
-        },
-    )
+    doc = build_telemetry(name, rows=rows, tables=tables or None, seed=seed)
     path = out or os.path.join(bench_output_dir(), f"BENCH_{name}.json")
     write_telemetry(path, doc)
+    dropped = doc["merge"]["dropped_spans"]
     if dropped:
         print(f"[telemetry] WARNING: {dropped} span(s) dropped "
               f"(buffer full) — the recorded trace is incomplete")

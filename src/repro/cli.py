@@ -241,6 +241,7 @@ def _parse_fraction(text: str) -> float:
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.obs import load_telemetry
+    from repro.obs.registry import format_stats, snapshot_stats
 
     doc = load_telemetry(args.file)
     manifest = doc.get("manifest", {})
@@ -251,43 +252,20 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     dirty = " (dirty)" if manifest.get("git_dirty") else ""
     print(f"commit   : {sha[:12]}{dirty}  branch={manifest.get('git_branch')}  "
           f"seed={manifest.get('seed')}")
-    timers = doc.get("obs", {}).get("timers", {})
-    if timers:
-        width = max(len(name) for name in timers)
-        print(f"\n{'stage'.ljust(width)} | {'calls':>6} | {'total ms':>10} | "
-              f"{'p50 ms':>9} | {'p90 ms':>9} | {'p99 ms':>9} | {'max ms':>9}")
-        for name, stats in sorted(timers.items(),
-                                  key=lambda kv: -kv[1].get("total_s", 0.0)):
-            print(f"{name.ljust(width)} | {stats.get('calls', 0):>6} | "
-                  f"{stats.get('total_s', 0.0) * 1e3:>10.3f} | "
-                  f"{stats.get('p50_s', 0.0) * 1e3:>9.3f} | "
-                  f"{stats.get('p90_s', 0.0) * 1e3:>9.3f} | "
-                  f"{stats.get('p99_s', 0.0) * 1e3:>9.3f} | "
-                  f"{stats.get('max_s', 0.0) * 1e3:>9.3f}")
-    counters = doc.get("obs", {}).get("counters", {})
-    if counters:
-        print("\n-- counters --")
-        width = max(len(name) for name in counters)
-        for name, value in sorted(counters.items()):
-            print(f"{name.ljust(width)} | {value}")
-    distributions = doc.get("obs", {}).get("distributions", {})
-    if distributions:
-        width = max(len(name) for name in distributions)
-        print(f"\n{'distribution'.ljust(width)} | {'count':>6} | {'mean':>8} | "
-              f"{'p50':>8} | {'p90':>8} | {'max':>8}")
-        for name, stats in sorted(distributions.items()):
-            print(f"{name.ljust(width)} | {stats.get('count', 0):>6} | "
-                  f"{stats.get('mean', 0.0):>8.2f} | "
-                  f"{stats.get('p50', 0.0):>8.2f} | "
-                  f"{stats.get('p90', 0.0):>8.2f} | "
-                  f"{stats.get('max', 0.0):>8.2f}")
-    spans = doc.get("obs", {}).get("spans", [])
+    if "cpu_count" in manifest:
+        print(f"machine  : {manifest['cpu_count']} CPU(s), "
+              f"{manifest['usable_cpus']} usable, forward_workers="
+              f"{manifest['compute_budget']['forward_workers']}")
+    print("\n" + format_stats(snapshot_stats(doc["merge"])))
+    if "shards" in doc:
+        print("\n== shards (merged worker snapshot) ==")
+        print(format_stats(snapshot_stats(doc["shards"])))
+    spans = doc["spans"]
     rows = doc.get("rows", [])
     tables = doc.get("tables", {}) or {}
     print(f"\n{len(spans)} span(s), {len(rows)} result row(s), "
           f"{len(tables)} extra table(s)")
-    dropped = doc.get("obs", {}).get("dropped_spans",
-                                     manifest.get("dropped_spans", 0))
+    dropped = doc["merge"]["dropped_spans"]
     if dropped:
         print(f"WARNING: {dropped} span(s) dropped during the run — "
               f"the span list above is incomplete")
@@ -443,14 +421,14 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     detections = 0
     for _ in range(args.repeats):
         detections = len(detector.detect(scene))
-    total = registry.timer("detect.total")
+    total = registry.snapshot()["timers"]["detect.total"]
     rows = [{
         "task": args.task,
         "grid": args.grid,
         "repeats": args.repeats,
         "detections": detections,
-        "p50_ms": total.p50_s * 1e3,
-        "p99_ms": total.p99_s * 1e3,
+        "p50_ms": total["p50_s"] * 1e3,
+        "p99_ms": total["p99_s"] * 1e3,
     }]
     doc = build_telemetry("obs_export", registry=registry, rows=rows,
                           seed=args.scene_seed)
@@ -466,7 +444,7 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
     from repro.obs import chrome_trace, load_telemetry
 
     doc = load_telemetry(args.file)
-    spans = doc.get("obs", {}).get("spans", [])
+    spans = doc["spans"]
     if not spans:
         print(f"{args.file}: no spans recorded — nothing to trace",
               file=sys.stderr)
@@ -602,8 +580,8 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
     import time
     import urllib.error
 
-    from repro.obs.export import snapshot_delta, timer_state_stats
-    from repro.obs.registry import FP_SCALE
+    from repro.obs.export import snapshot_delta
+    from repro.obs.registry import FP_SCALE, timer_state_stats
 
     urls = args.url or ["http://127.0.0.1:9464"]
     if len(urls) > 1:

@@ -30,7 +30,14 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.registry import FP_SCALE, Histogram, Registry, get_registry
+from repro.obs.registry import (
+    FP_SCALE,
+    Histogram,
+    Registry,
+    dist_state_stats,
+    get_registry,
+    timer_state_stats,
+)
 from repro.obs.series import merge_series_states
 
 __all__ = [
@@ -40,7 +47,6 @@ __all__ = [
     "merge_snapshots",
     "prometheus_text",
     "snapshot_delta",
-    "timer_state_stats",
 ]
 
 MERGE_SCHEMA = "repro.obs.merge/1"
@@ -55,14 +61,7 @@ def mergeable_snapshot(registry: Optional[Registry] = None,
     registry = registry or get_registry()
     if series is None:
         series = registry.series
-    doc: Dict[str, Any] = {
-        "schema": MERGE_SCHEMA,
-        "timers": {n: t.merge_state() for n, t in registry.timers.items()},
-        "counters": {n: c.merge_state() for n, c in registry.counters.items()},
-        "distributions": {n: d.merge_state()
-                          for n, d in registry.distributions.items()},
-        "dropped_spans": registry.dropped_spans,
-    }
+    doc: Dict[str, Any] = {"schema": MERGE_SCHEMA, **registry.merge_state()}
     if series is not None:
         doc["series"] = series.merge_state()
     return doc
@@ -144,40 +143,6 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     if series_states:
         out["series"] = merge_series_states(series_states)
     return out
-
-
-def timer_state_stats(state: Dict[str, Any]) -> Dict[str, float]:
-    """Derive calls/total/mean/p50/p90/p99 from a merged timer state."""
-    hist = Histogram.from_state(state["hist"])
-    calls = state["calls"]
-    total_s = state["total_ns"] / FP_SCALE
-    return {
-        "calls": calls,
-        "total_s": total_s,
-        "mean_s": total_s / calls if calls else 0.0,
-        "min_s": state["min_s"] if state["min_s"] is not None else 0.0,
-        "max_s": state["max_s"] if state["max_s"] is not None else 0.0,
-        "p50_s": hist.percentile(50.0),
-        "p90_s": hist.percentile(90.0),
-        "p99_s": hist.percentile(99.0),
-    }
-
-
-def dist_state_stats(state: Dict[str, Any]) -> Dict[str, float]:
-    """Derive count/total/mean/percentiles from a merged distribution."""
-    hist = Histogram.from_state(state["hist"])
-    count = state["count"]
-    total = state["total_fp"] / FP_SCALE
-    return {
-        "count": count,
-        "total": total,
-        "mean": total / count if count else 0.0,
-        "min": state["min"] if state["min"] is not None else 0.0,
-        "max": state["max"] if state["max"] is not None else 0.0,
-        "p50": hist.percentile(50.0),
-        "p90": hist.percentile(90.0),
-        "p99": hist.percentile(99.0),
-    }
 
 
 def _delta_hist(cur: Dict[str, Any], prev: Dict[str, Any]) -> Dict[str, Any]:

@@ -16,9 +16,11 @@ Three layers, all stdlib-only:
   Chrome trace-event JSON (viewable in Perfetto / ``chrome://tracing``).
   ``registry.time(name)`` is the attribute-less alias, so the historical
   call sites participate in the tree for free.
-* **Telemetry** — :meth:`Registry.telemetry_snapshot` is the
-  serialization-ready view (strict JSON: no ``Infinity``) that
-  :mod:`repro.obs.telemetry` embeds in ``BENCH_*.json`` files.
+* **Stats** — every metric keeps only mergeable accumulators; its
+  calls/total/mean/percentiles are derived from its merge state by one
+  function (:func:`timer_state_stats`, :func:`dist_state_stats`), which
+  :meth:`Registry.snapshot`, :meth:`Registry.report`, the Prometheus
+  export and ``repro obs report/compare`` all share.
 
 A process-wide default registry (:func:`get_registry`) lets deep call
 sites — window extraction, model forward, KG matching, NMS, the hardware
@@ -55,7 +57,11 @@ __all__ = [
     "Registry",
     "Span",
     "Timer",
+    "dist_state_stats",
+    "format_stats",
     "get_registry",
+    "snapshot_stats",
+    "timer_state_stats",
     "traced",
 ]
 
@@ -162,21 +168,113 @@ class Histogram:
         return cls().merge_in(state)
 
 
+def _percentiles(hist_state: Optional[Dict[str, Any]],
+                 suffix: str) -> Dict[str, Optional[float]]:
+    # A state kept without its histogram (a stats-only record) has no
+    # percentiles to report: None, never a made-up number.
+    hist = Histogram.from_state(hist_state) if hist_state is not None else None
+    return {f"p{q}{suffix}": hist.percentile(q) if hist is not None else None
+            for q in (50, 90, 99)}
+
+
+def timer_state_stats(state: Dict[str, Any]) -> Dict[str, Any]:
+    """Derive calls/total/mean/min/max/p50/p90/p99 from a timer's merge
+    state — the one stats derivation behind every view (``Registry
+    .snapshot``, ``report``, Prometheus, ``obs compare``/``report``).
+
+    Strict-JSON safe: a never-recorded timer reports ``min_s = 0.0``.
+    """
+    calls = state["calls"]
+    total_s = state["total_ns"] / FP_SCALE
+    return {
+        "calls": calls,
+        "total_s": total_s,
+        "mean_s": total_s / calls if calls else 0.0,
+        "min_s": state["min_s"] if state["min_s"] is not None else 0.0,
+        "max_s": state["max_s"] if state["max_s"] is not None else 0.0,
+        **_percentiles(state["hist"], "_s"),
+    }
+
+
+def dist_state_stats(state: Dict[str, Any]) -> Dict[str, Any]:
+    """Derive count/total/mean/min/max/percentiles from a distribution's
+    merge state (see :func:`timer_state_stats`)."""
+    count = state["count"]
+    total = state["total_fp"] / FP_SCALE
+    return {
+        "count": count,
+        "total": total,
+        "mean": total / count if count else 0.0,
+        "min": state["min"] if state["min"] is not None else 0.0,
+        "max": state["max"] if state["max"] is not None else 0.0,
+        **_percentiles(state["hist"], ""),
+    }
+
+
+def snapshot_stats(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """Stats view of a merge snapshot: timer and distribution stats, and
+    counters as plain values."""
+    return {
+        "timers": {n: timer_state_stats(s)
+                   for n, s in snapshot["timers"].items()},
+        "counters": {n: s["value_fp"] / FP_SCALE
+                     for n, s in snapshot["counters"].items()},
+        "distributions": {n: dist_state_stats(s)
+                          for n, s in snapshot["distributions"].items()},
+    }
+
+
+def format_stats(stats: Dict[str, Dict[str, Any]]) -> str:
+    """Text tables of a :func:`snapshot_stats` view: stages by total time,
+    counters, distributions.  A percentile without a histogram is ``-``."""
+
+    def cell(value: Optional[float], scale: float = 1e3) -> str:
+        return "-" if value is None else f"{value * scale:.3f}"
+
+    lines = []
+    timers = sorted(stats["timers"].items(), key=lambda kv: -kv[1]["total_s"])
+    if not timers:
+        lines.append("(no timers recorded)")
+    else:
+        width = max(len(name) for name, _ in timers)
+        lines.append(f"{'stage'.ljust(width)} | {'calls':>6} | "
+                     + " | ".join(f"{h:>10}" for h in (
+                         "total ms", "mean ms", "p50 ms", "p90 ms", "p99 ms",
+                         "max ms")))
+        for name, t in timers:
+            lines.append(f"{name.ljust(width)} | {t['calls']:>6d} | "
+                         + " | ".join(f"{cell(t[k]):>10}" for k in (
+                             "total_s", "mean_s", "p50_s", "p90_s", "p99_s",
+                             "max_s")))
+    if stats["counters"]:
+        width = max(len(name) for name in stats["counters"])
+        lines.append("-- counters --")
+        for name, value in sorted(stats["counters"].items()):
+            lines.append(f"{name.ljust(width)} | {value:.12g}")
+    if stats["distributions"]:
+        width = max(len(name) for name in stats["distributions"])
+        lines.append("-- distributions --")
+        lines.append(f"{'name'.ljust(width)} | {'count':>6} | " + " | ".join(
+            f"{h:>8}" for h in ("mean", "p50", "p99", "min", "max")))
+        for name, d in sorted(stats["distributions"].items()):
+            lines.append(f"{name.ljust(width)} | {d['count']:>6d} | "
+                         + " | ".join(f"{cell(d[k], 1.0):>8}" for k in (
+                             "mean", "p50", "p99", "min", "max")))
+    return "\n".join(lines)
+
+
 # ----------------------------------------------------------------------
 # Timers and counters
 # ----------------------------------------------------------------------
+# Each metric keeps only order-independent accumulators: the fixed-point
+# total and the histogram, whose count/min/max double as the metric's
+# calls/min/max.  Everything else is a read-only view of those, so any
+# merge order of any split of a history reads back identically.
 @dataclasses.dataclass
 class Timer:
     """Accumulated wall-clock statistics for one named stage."""
 
     name: str
-    calls: int = 0
-    total_s: float = 0.0
-    min_s: float = math.inf
-    max_s: float = 0.0
-    last_s: float = 0.0
-    # Integer-nanosecond twin of total_s: the order-independent
-    # accumulator the mergeable snapshot protocol exports.
     total_ns: int = 0
     histogram: Histogram = dataclasses.field(default_factory=Histogram,
                                              repr=False, compare=False)
@@ -185,63 +283,40 @@ class Timer:
 
     def record(self, seconds: float) -> None:
         with self._lock:
-            self.calls += 1
-            self.total_s += seconds
             self.total_ns += fixed_point(seconds)
-            self.min_s = min(self.min_s, seconds)
-            self.max_s = max(self.max_s, seconds)
-            self.last_s = seconds
             self.histogram.record(seconds)
+
+    @property
+    def calls(self) -> int:
+        return self.histogram.count
+
+    @property
+    def min_s(self) -> float:
+        return self.histogram._min
+
+    @property
+    def max_s(self) -> float:
+        return self.histogram._max
+
+    @property
+    def total_s(self) -> float:
+        return self.total_ns / FP_SCALE
 
     @property
     def mean_s(self) -> float:
         return self.total_s / self.calls if self.calls else 0.0
 
-    def percentile(self, q: float) -> float:
-        return self.histogram.percentile(q)
-
-    @property
-    def p50_s(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p90_s(self) -> float:
-        return self.percentile(90.0)
-
-    @property
-    def p99_s(self) -> float:
-        return self.percentile(99.0)
-
-    def stats(self) -> Dict[str, float]:
-        """Strict-JSON stats dict (never emits ``Infinity``)."""
-        return {
-            "calls": self.calls,
-            "total_s": self.total_s,
-            "mean_s": self.mean_s,
-            # A created-but-never-recorded timer keeps min_s = inf
-            # internally; exporting that breaks strict JSON consumers.
-            "min_s": self.min_s if self.calls else 0.0,
-            "max_s": self.max_s,
-            "last_s": self.last_s,
-            "p50_s": self.p50_s,
-            "p90_s": self.p90_s,
-            "p99_s": self.p99_s,
-        }
-
     def merge_state(self) -> Dict[str, Any]:
-        """Order-independent state for cross-process merging.
-
-        ``last_s`` is deliberately absent: "last" depends on arrival
-        order, which a merge of concurrent shards cannot define.
-        """
+        """Order-independent state for cross-process merging."""
         with self._lock:
-            return {
-                "calls": self.calls,
-                "total_ns": self.total_ns,
-                "min_s": self.min_s if self.calls else None,
-                "max_s": self.max_s if self.calls else None,
-                "hist": self.histogram.merge_state(),
-            }
+            hist, total_ns = self.histogram.merge_state(), self.total_ns
+        return {
+            "calls": hist["count"],
+            "total_ns": total_ns,
+            "min_s": hist["min"],
+            "max_s": hist["max"],
+            "hist": hist,
+        }
 
 
 @dataclasses.dataclass
@@ -249,21 +324,22 @@ class Counter:
     """Accumulated event count (windows scanned, ops simulated, ...)."""
 
     name: str
-    value: float = 0
-    # Fixed-point twin of value (value * FP_SCALE, rounded per add) so
-    # shard merges are bit-exact regardless of order.
+    # value * FP_SCALE, rounded per add, so shard merges are bit-exact
+    # regardless of order.
     value_fp: int = 0
     _lock: threading.Lock = dataclasses.field(default_factory=threading.Lock,
                                               repr=False, compare=False)
 
     def add(self, amount: float = 1) -> None:
         with self._lock:
-            self.value += amount
             self.value_fp += fixed_point(amount)
 
+    @property
+    def value(self) -> float:
+        return self.value_fp / FP_SCALE
+
     def merge_state(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"value_fp": self.value_fp}
+        return {"value_fp": self.value_fp}
 
 
 @dataclasses.dataclass
@@ -281,11 +357,6 @@ class Distribution:
     """
 
     name: str
-    count: int = 0
-    total: float = 0.0
-    min: float = math.inf
-    max: float = 0.0
-    last: float = 0.0
     total_fp: int = 0
     histogram: Histogram = dataclasses.field(default_factory=Histogram,
                                              repr=False, compare=False)
@@ -295,46 +366,40 @@ class Distribution:
     def record(self, value: float) -> None:
         value = float(value)
         with self._lock:
-            self.count += 1
-            self.total += value
             self.total_fp += fixed_point(value)
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
-            self.last = value
             self.histogram.record(value)
+
+    @property
+    def count(self) -> int:
+        return self.histogram.count
+
+    @property
+    def min(self) -> float:
+        return self.histogram._min
+
+    @property
+    def max(self) -> float:
+        return self.histogram._max
+
+    @property
+    def total(self) -> float:
+        return self.total_fp / FP_SCALE
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        return self.histogram.percentile(q)
-
-    def stats(self) -> Dict[str, float]:
-        """Strict-JSON stats dict (never emits ``Infinity``)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min if self.count else 0.0,
-            "max": self.max,
-            "last": self.last,
-            "p50": self.percentile(50.0),
-            "p90": self.percentile(90.0),
-            "p99": self.percentile(99.0),
-        }
-
     def merge_state(self) -> Dict[str, Any]:
-        """Order-independent state for cross-process merging (no
-        ``last`` — see :meth:`Timer.merge_state`)."""
+        """Order-independent state for cross-process merging."""
         with self._lock:
-            return {
-                "count": self.count,
-                "total_fp": self.total_fp,
-                "min": self.min if self.count else None,
-                "max": self.max if self.count else None,
-                "hist": self.histogram.merge_state(),
-            }
+            hist, total_fp = self.histogram.merge_state(), self.total_fp
+        return {
+            "count": hist["count"],
+            "total_fp": total_fp,
+            "min": hist["min"],
+            "max": hist["max"],
+            "hist": hist,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -652,29 +717,23 @@ class Registry:
         return decorate
 
     # -- inspection -----------------------------------------------------
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Plain-dict view of all stats (stable for serialization/tests).
+    def merge_state(self) -> Dict[str, Any]:
+        """Every metric's order-independent state, plus the span-buffer
+        drop count (the body of :func:`repro.obs.export
+        .mergeable_snapshot`)."""
+        return {
+            "timers": {n: t.merge_state() for n, t in self.timers.items()},
+            "counters": {n: c.merge_state()
+                         for n, c in self.counters.items()},
+            "distributions": {n: d.merge_state()
+                              for n, d in self.distributions.items()},
+            "dropped_spans": self._dropped_spans,
+        }
 
-        Strict-JSON safe: never-recorded timers report ``min_s = 0.0``
-        rather than leaking ``Infinity``.
-        """
-        with self._lock:
-            return {
-                "timers": {n: t.stats() for n, t in self._timers.items()},
-                "counters": {n: c.value for n, c in self._counters.items()},
-                "distributions": {
-                    n: d.stats() for n, d in self._distributions.items()
-                },
-            }
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        """Snapshot plus the span buffer — the ``obs`` block that
-        :mod:`repro.obs.telemetry` embeds in ``BENCH_*.json``."""
-        doc = self.snapshot()
-        with self._lock:
-            doc["spans"] = [s.as_dict() for s in self._spans]
-            doc["dropped_spans"] = self._dropped_spans
-        return doc
+    def snapshot(self) -> Dict[str, Dict[str, Any]]:
+        """Plain-dict stats of every metric (:func:`snapshot_stats` of
+        :meth:`merge_state`), stable for serialization and tests."""
+        return snapshot_stats(self.merge_state())
 
     def spans_for_trace(self, trace_id: str) -> List[Span]:
         """All buffered spans stamped with ``trace_id`` (any thread)."""
@@ -689,49 +748,8 @@ class Registry:
 
     def report(self, title: Optional[str] = None) -> str:
         """Human-readable per-stage latency table, sorted by total time."""
-        lines = [f"== {title or self.name}: per-stage timings =="]
-        timers = sorted(self.timers.values(), key=lambda t: -t.total_s)
-        if timers:
-            width = max(len(t.name) for t in timers)
-            lines.append(
-                f"{'stage'.ljust(width)} | {'calls':>6} | {'total ms':>10} | "
-                f"{'mean ms':>10} | {'p50 ms':>10} | {'p99 ms':>10} | "
-                f"{'max ms':>10}"
-            )
-            for t in timers:
-                lines.append(
-                    f"{t.name.ljust(width)} | {t.calls:>6d} | "
-                    f"{t.total_s * 1e3:>10.3f} | {t.mean_s * 1e3:>10.3f} | "
-                    f"{t.p50_s * 1e3:>10.3f} | {t.p99_s * 1e3:>10.3f} | "
-                    f"{t.max_s * 1e3:>10.3f}"
-                )
-        else:
-            lines.append("(no timers recorded)")
-        counters = sorted(self.counters.values(), key=lambda c: c.name)
-        if counters:
-            width = max(len(c.name) for c in counters)
-            lines.append("-- counters --")
-            for c in counters:
-                amount = int(c.value) if float(c.value).is_integer() else c.value
-                lines.append(f"{c.name.ljust(width)} | {amount}")
-        distributions = sorted(self.distributions.values(),
-                               key=lambda d: d.name)
-        if distributions:
-            width = max(len(d.name) for d in distributions)
-            lines.append("-- distributions --")
-            lines.append(
-                f"{'name'.ljust(width)} | {'count':>6} | {'mean':>8} | "
-                f"{'p50':>8} | {'p99':>8} | {'min':>8} | {'max':>8}"
-            )
-            for d in distributions:
-                stats = d.stats()
-                lines.append(
-                    f"{d.name.ljust(width)} | {d.count:>6d} | "
-                    f"{stats['mean']:>8.2f} | {stats['p50']:>8.2f} | "
-                    f"{stats['p99']:>8.2f} | {stats['min']:>8.2f} | "
-                    f"{stats['max']:>8.2f}"
-                )
-        return "\n".join(lines)
+        return (f"== {title or self.name}: per-stage timings ==\n"
+                + format_stats(self.snapshot()))
 
     def reset(self) -> None:
         with self._lock:

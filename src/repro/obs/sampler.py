@@ -143,8 +143,9 @@ class FlightRecorder:
             "exemplars": [e.as_dict() for e in exemplars],
         }
         if registry is not None:
-            doc["obs"] = registry.snapshot()
-            doc["dropped_spans"] = registry.dropped_spans
+            from repro.obs.export import mergeable_snapshot
+
+            doc["merge"] = mergeable_snapshot(registry)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, allow_nan=False)

@@ -177,8 +177,8 @@ def _hist_bad_fraction(hist_state: Dict[str, Any], threshold_s: float) -> float:
     return bad / count
 
 
-def _latency_status(slo: SLO, hist_state: Optional[Dict[str, Any]],
-                    p_value: Optional[float]) -> SLOStatus:
+def _latency_status(slo: SLO,
+                    hist_state: Optional[Dict[str, Any]]) -> SLOStatus:
     budget = max(1e-9, 1.0 - slo.percentile / 100.0)
     if hist_state is not None and hist_state["count"]:
         bad = _hist_bad_fraction(hist_state, slo.threshold_s)
@@ -188,15 +188,6 @@ def _latency_status(slo: SLO, hist_state: Optional[Dict[str, Any]],
             detail=(f"{bad * 100:.2f}% of samples over "
                     f"{slo.threshold_s * 1e3:g} ms (budget "
                     f"{budget * 100:g}%)"))
-    if p_value is not None:
-        # Stats-only fallback (no histogram shipped): compare the
-        # percentile itself; burn is the latency ratio, not budget math.
-        burn = p_value / slo.threshold_s if slo.threshold_s else 0.0
-        return SLOStatus(
-            slo=slo, ok=burn <= 1.0, value=p_value, limit=slo.threshold_s,
-            burn=burn,
-            detail=(f"p{slo.percentile:g} = {p_value * 1e3:.3f} ms vs "
-                    f"{slo.threshold_s * 1e3:g} ms"))
     return SLOStatus(slo=slo, ok=True, value=0.0,
                      limit=slo.threshold_s or 0.0, burn=0.0,
                      detail=f"stage {slo.stage!r} not recorded")
@@ -236,39 +227,41 @@ def _relative_status(slo: SLO, percentile_of) -> SLOStatus:
 # ----------------------------------------------------------------------
 def evaluate_telemetry(slos: Iterable[SLO],
                        doc: Dict[str, Any]) -> List[SLOStatus]:
-    """Single-window evaluation of a telemetry document (CI gate)."""
-    obs = doc.get("obs", {})
-    merge = doc.get("merge") or {}
-    timers_merge = merge.get("timers", {})
-    timers_stats = obs.get("timers", {})
-    counters_merge = merge.get("counters", {})
-    counters_obs = obs.get("counters", {})
+    """Single-window evaluation of a telemetry document (CI gate).
+
+    Gates the document's ``shards`` snapshot when it has one (the
+    worker processes of a sharded run), else its own ``merge``.  An
+    objective on a stage kept without a histogram fails: there is no
+    percentile to check it against.
+    """
+    snapshot = doc["shards"] if "shards" in doc else doc["merge"]
+    timers = snapshot["timers"]
+    histless = {name for name, state in timers.items()
+                if state["hist"] is None}
 
     def counter_value(name: str) -> float:
-        if name in counters_merge:
-            return counters_merge[name]["value_fp"] / FP_SCALE
-        return float(counters_obs.get(name, 0.0))
+        state = snapshot["counters"].get(name)
+        return state["value_fp"] / FP_SCALE if state is not None else 0.0
 
     def percentile_of(stage: str, q: float) -> Optional[float]:
-        state = timers_merge.get(stage)
-        if state is not None and state["hist"]["count"]:
-            return Histogram.from_state(state["hist"]).percentile(q)
-        stats = timers_stats.get(stage)
-        if stats is None:
+        state = timers.get(stage)
+        if state is None or not state["hist"]["count"]:
             return None
-        key = f"p{q:g}_s"
-        return stats.get(key, stats.get("p99_s"))
+        return Histogram.from_state(state["hist"]).percentile(q)
 
     statuses = []
     for slo in slos:
-        if slo.kind == LATENCY:
-            state = timers_merge.get(slo.stage)
-            stats = timers_stats.get(slo.stage)
-            p_value = None
-            if stats is not None:
-                p_value = stats.get(f"p{slo.percentile:g}_s")
+        unreadable = [stage for stage in (slo.stage, slo.reference_stage)
+                      if stage in histless]
+        if unreadable:
+            statuses.append(SLOStatus(
+                slo=slo, ok=False, value=0.0,
+                limit=slo.threshold_s if slo.kind == LATENCY else slo.max_ratio,
+                burn=0.0, detail=f"stage {unreadable[0]!r} has no histogram"))
+        elif slo.kind == LATENCY:
+            state = timers.get(slo.stage)
             statuses.append(_latency_status(
-                slo, state["hist"] if state else None, p_value))
+                slo, state["hist"] if state else None))
         elif slo.kind == RATIO:
             statuses.append(_ratio_status(slo, counter_value))
         else:
@@ -302,7 +295,7 @@ def evaluate_live(slos: Iterable[SLO], registry: Optional[Registry] = None,
                 if series is not None:
                     hist_state = series.timer_series(slo.stage).window_state(
                         window_s, now=now)["hist"]
-                status = _latency_status(slo, hist_state, None)
+                status = _latency_status(slo, hist_state)
             elif slo.kind == RATIO:
                 def counter_value(name: str, _w=window_s) -> float:
                     if series is None:

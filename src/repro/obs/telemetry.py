@@ -5,17 +5,25 @@ Every benchmark run produces one schema-versioned JSON document:
 .. code-block:: text
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "bench": "e10_pipeline_latency",
       "manifest": {git sha, branch, dirty, python, platform, numpy, seed,
-                   argv, timestamp_utc, hostname, pid},
-      "obs": {"timers": {stage: {calls, total_s, mean_s, min_s, max_s,
-                                 last_s, p50_s, p90_s, p99_s}},
-              "counters": {...},
-              "spans": [...], "dropped_spans": n},
-      "rows": [...],          # the experiment's primary table
+                   argv, timestamp_utc, hostname, pid, cpu_count,
+                   usable_cpus, compute_budget},
+      "merge": {...},      # the writing process's mergeable snapshot
+      "shards": {...},     # optional: merged snapshot of worker processes
+      "spans": [...],      # completed spans (Chrome-trace exportable)
+      "rows": [...],       # the experiment's primary table
       "tables": {label: [...]}  # any secondary tables
     }
+
+``merge`` is the only record of a metric: the integer accumulators and
+sparse histogram buckets of :func:`repro.obs.export.mergeable_snapshot`
+(schema ``repro.obs.merge/1``, with ``dropped_spans``).  Every statistic
+a reader shows — calls, totals, shares, p50/p90/p99 — is derived from
+it by :func:`repro.obs.registry.timer_state_stats`.  A run whose metrics
+live in other processes (the sharded tier) adds their cross-process
+merge as ``shards``; ``repro obs slo`` gates ``shards`` when present.
 
 That file is the durable perf trajectory: ``repro obs report`` renders
 it, ``repro obs trace`` converts its spans for Perfetto, and
@@ -35,9 +43,9 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.registry import Registry, get_registry
+from repro.obs.registry import Registry, get_registry, timer_state_stats
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -61,9 +69,12 @@ def _git(args: List[str], cwd: Optional[str] = None) -> Optional[str]:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def run_manifest(seed: Optional[int] = None,
-                 extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Everything needed to reproduce / attribute one benchmark run."""
+def run_manifest(seed: Optional[int] = None) -> Dict[str, Any]:
+    """Everything needed to reproduce / attribute one benchmark run,
+    including the host's CPUs and the compute budget the run used."""
+    # Imported here: repro.obs keeps no import-time dependencies.
+    from repro.compute import budget_info, usable_cpus
+
     cwd = os.path.dirname(os.path.abspath(__file__))
     manifest: Dict[str, Any] = {
         "git_sha": _git(["rev-parse", "HEAD"], cwd=cwd),
@@ -76,6 +87,9 @@ def run_manifest(seed: Optional[int] = None,
         "argv": list(sys.argv),
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "seed": seed,
+        "cpu_count": os.cpu_count(),
+        "usable_cpus": usable_cpus(),
+        "compute_budget": budget_info(),
     }
     try:
         import numpy
@@ -83,8 +97,6 @@ def run_manifest(seed: Optional[int] = None,
         manifest["numpy"] = numpy.__version__
     except ImportError:  # pragma: no cover — numpy is a hard dep elsewhere
         manifest["numpy"] = None
-    if extra:
-        manifest.update(extra)
     return manifest
 
 
@@ -112,24 +124,28 @@ def build_telemetry(
     rows: Optional[Sequence[Dict[str, Any]]] = None,
     tables: Optional[Dict[str, Sequence[Dict[str, Any]]]] = None,
     seed: Optional[int] = None,
-    manifest_extra: Optional[Dict[str, Any]] = None,
+    shards: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
+    """One run's telemetry document (layout in the module docstring).
+
+    ``shards`` is the merged snapshot of worker processes whose metrics
+    this process cannot record itself.
+    """
     from repro.obs.export import mergeable_snapshot
 
     registry = registry or get_registry()
-    return {
+    doc: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "bench": bench,
-        "manifest": run_manifest(seed=seed, extra=manifest_extra),
-        "obs": _jsonify(registry.telemetry_snapshot()),
-        # The shard-mergeable view (integer accumulators + sparse
-        # histogram buckets): `repro obs slo` reads its histograms for
-        # budget math, and shard telemetry aggregates through
-        # repro.obs.export.merge_snapshots.
+        "manifest": run_manifest(seed=seed),
         "merge": _jsonify(mergeable_snapshot(registry)),
-        "rows": _jsonify(list(rows or [])),
-        "tables": _jsonify({k: list(v) for k, v in (tables or {}).items()}),
     }
+    if shards is not None:
+        doc["shards"] = _jsonify(shards)
+    doc["spans"] = _jsonify([span.as_dict() for span in registry.spans])
+    doc["rows"] = _jsonify(list(rows or []))
+    doc["tables"] = _jsonify({k: list(v) for k, v in (tables or {}).items()})
+    return doc
 
 
 def write_telemetry(path: str, doc: Dict[str, Any]) -> str:
@@ -155,7 +171,7 @@ def load_telemetry(path: str) -> Dict[str, Any]:
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"{path}: telemetry schema_version {version!r} "
-            f"(this build reads {SCHEMA_VERSION})"
+            f"(this build reads schema_version {SCHEMA_VERSION})"
         )
     return doc
 
@@ -163,7 +179,7 @@ def load_telemetry(path: str) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Regression comparison
 # ----------------------------------------------------------------------
-#: metric -> how to read it from a timer-stats dict
+#: a timer-stats key, or "share" (total over the dominant stage's total)
 _METRICS = ("p50_s", "mean_s", "total_s", "max_s", "share")
 
 
@@ -182,7 +198,8 @@ class Comparison:
     max_regress: float
     rows: List[CompareRow]
     skipped: List[str]     # stages new in the current run (informational)
-    # Stages the baseline recorded but the current run did not: a
+    # Stages the baseline recorded but the current run did not, or that
+    # either run kept without the histogram a percentile metric needs: a
     # renamed or deleted span would otherwise silently escape the gate,
     # so these fail the comparison outright.
     missing: List[str] = dataclasses.field(default_factory=list)
@@ -218,9 +235,10 @@ class Comparison:
             lines.append(f"skipped (not in both runs): {', '.join(self.skipped)}")
         if self.missing:
             lines.append(
-                f"MISSING from current run: {', '.join(self.missing)} — "
-                f"baseline stages that were not recorded (renamed or "
-                f"deleted span?); regenerate the baseline if intentional")
+                f"MISSING: {', '.join(self.missing)} — baseline stages "
+                f"the current run did not record (renamed or deleted "
+                f"span?) or that carry no histogram for {self.metric}; "
+                f"regenerate the baseline if intentional")
         if self.ok:
             status = "OK"
         else:
@@ -234,16 +252,16 @@ class Comparison:
         return "\n".join(lines)
 
 
-def _timer_stats(doc: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
-    return doc.get("obs", {}).get("timers", {})
+def _timer_stats(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    return {name: timer_state_stats(state)
+            for name, state in doc["merge"]["timers"].items()}
 
 
-def _metric_value(stats: Dict[str, float], metric: str,
+def _metric_value(stats: Dict[str, Any], metric: str,
                   normalizer: float) -> Optional[float]:
     if metric == "share":
-        total = stats.get("total_s", 0.0)
-        return total / normalizer if normalizer > 0 else None
-    return stats.get(metric)
+        return stats["total_s"] / normalizer if normalizer > 0 else None
+    return stats[metric]
 
 
 def compare_telemetry(
@@ -267,7 +285,10 @@ def compare_telemetry(
 
     A stage the baseline recorded but the current run did not lands in
     ``missing`` and fails the comparison — a renamed or deleted span
-    must not silently escape the gate.  Stages only the current run
+    must not silently escape the gate.  So does a stage either run kept
+    without a histogram (``"hist": null``) under a percentile metric:
+    there is no percentile to compare, and skipping it would pass a gate
+    that checked nothing.  Stages only the current run
     recorded stay informational (``skipped``): new instrumentation is
     not a regression.
     """
@@ -280,8 +301,7 @@ def compare_telemetry(
     def normalizer(timers: Dict[str, Dict[str, float]]) -> float:
         pool = ({n: timers[n] for n in stages if n in timers}
                 if stages else timers)
-        return max((s.get("total_s", 0.0) for s in pool.values()),
-                   default=0.0)
+        return max((s["total_s"] for s in pool.values()), default=0.0)
 
     base_norm, cur_norm = normalizer(base_timers), normalizer(cur_timers)
     rows: List[CompareRow] = []
@@ -294,6 +314,10 @@ def compare_telemetry(
             continue
         if base_stats is None:
             skipped.append(name)
+            continue
+        if metric != "share" and None in (base_stats[metric],
+                                          cur_stats[metric]):
+            missing.append(name)  # kept without a histogram
             continue
         base_value = _metric_value(base_stats, metric, base_norm)
         cur_value = _metric_value(cur_stats, metric, cur_norm)

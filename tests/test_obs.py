@@ -21,6 +21,7 @@ from repro.obs import (
     traced,
     write_telemetry,
 )
+from repro.obs.registry import FP_SCALE
 
 
 @pytest.fixture()
@@ -38,7 +39,6 @@ class TestTimer:
         assert timer.mean_s == pytest.approx(1.0)
         assert timer.min_s == pytest.approx(0.5)
         assert timer.max_s == pytest.approx(1.5)
-        assert timer.last_s == pytest.approx(1.5)
 
     def test_mean_of_untouched_timer_is_zero(self):
         assert Timer("t").mean_s == 0.0
@@ -428,6 +428,18 @@ class TestChromeTrace:
         assert span_tree(as_dicts)[0]["name"] == "s"
 
 
+def _timed_doc(registry, factor=1.0):
+    """A telemetry doc whose two stages took known durations (x factor).
+
+    One sample per stage, so every derived statistic — total, p50, max —
+    scales exactly with ``factor``.
+    """
+    registry.reset()
+    for stage, seconds in (("detect.total", 0.010), ("detect.nms", 0.002)):
+        registry.timer(stage).record(seconds * factor)
+    return build_telemetry("timed_test", registry=registry)
+
+
 class TestTelemetry:
     def _sample_doc(self, registry):
         with registry.span("detect.total"):
@@ -445,11 +457,17 @@ class TestTelemetry:
         path = tmp_path / "BENCH_unit_test.json"
         write_telemetry(str(path), doc)
         loaded = load_telemetry(str(path))
-        assert loaded["schema_version"] == 1
+        assert loaded["schema_version"] == 2
         assert loaded["bench"] == "unit_test"
-        assert loaded["obs"]["timers"]["detect.total"]["calls"] == 1
-        assert loaded["obs"]["counters"]["windows"] == 64
+        assert loaded["merge"]["timers"]["detect.total"]["calls"] == 1
+        assert loaded["merge"]["counters"]["windows"]["value_fp"] == \
+            64 * FP_SCALE
+        assert {s["name"] for s in loaded["spans"]} == \
+            {"detect.total", "detect.nms"}
         assert loaded["manifest"]["python"]
+        assert loaded["manifest"]["cpu_count"] >= 1
+        assert loaded["manifest"]["usable_cpus"] >= 1
+        assert loaded["manifest"]["compute_budget"]["forward_workers"] >= 1
         # numpy rows were coerced to plain JSON types
         assert loaded["rows"] == [{"metric": 1.5, "count": 3, "vector": [0, 1]}]
 
@@ -468,11 +486,8 @@ class TestTelemetry:
         assert comparison.rows  # it actually compared stages
 
     def test_compare_flags_2x_slowdown(self, registry):
-        doc = self._sample_doc(registry)
-        slow = json.loads(json.dumps(doc))
-        for stats in slow["obs"]["timers"].values():
-            for key in ("total_s", "mean_s", "p50_s", "p90_s", "p99_s", "max_s"):
-                stats[key] *= 2.0
+        doc = _timed_doc(registry)
+        slow = _timed_doc(registry, factor=2.0)
         comparison = compare_telemetry(doc, slow, max_regress=0.15)
         assert not comparison.ok
         assert {row.stage for row in comparison.regressions} == \
@@ -483,11 +498,8 @@ class TestTelemetry:
         assert compare_telemetry(slow, doc, max_regress=0.15).ok
 
     def test_compare_share_metric_ignores_uniform_slowdown(self, registry):
-        doc = self._sample_doc(registry)
-        slow = json.loads(json.dumps(doc))
-        for stats in slow["obs"]["timers"].values():
-            for key in ("total_s", "mean_s", "p50_s", "p90_s", "p99_s", "max_s"):
-                stats[key] *= 3.0
+        doc = _timed_doc(registry)
+        slow = _timed_doc(registry, factor=3.0)
         # A uniformly slower machine changes no stage's share of the total.
         comparison = compare_telemetry(doc, slow, max_regress=0.15,
                                        metric="share")
@@ -496,8 +508,8 @@ class TestTelemetry:
     def test_compare_skips_one_sided_stages(self, registry):
         doc = self._sample_doc(registry)
         other = json.loads(json.dumps(doc))
-        other["obs"]["timers"]["brand.new"] = \
-            dict(other["obs"]["timers"]["detect.total"])
+        other["merge"]["timers"]["brand.new"] = \
+            dict(other["merge"]["timers"]["detect.total"])
         comparison = compare_telemetry(doc, other)
         assert "brand.new" in comparison.skipped
 
@@ -529,18 +541,16 @@ class TestObsCli:
         trace = json.loads(out_path.read_text())
         assert any(e.get("ph") == "X" for e in trace["traceEvents"])
 
-    def test_compare_exit_codes(self, bench_file, tmp_path, capsys):
+    def test_compare_exit_codes(self, bench_file, registry, tmp_path, capsys):
         from repro.cli import main
 
         assert main(["obs", "compare", bench_file, bench_file,
                      "--max-regress", "15%"]) == 0
-        slow_doc = json.loads(open(bench_file).read())
-        for stats in slow_doc["obs"]["timers"].values():
-            for key in ("total_s", "mean_s", "p50_s", "p90_s", "p99_s", "max_s"):
-                stats[key] *= 2.0
+        base_path = tmp_path / "BENCH_base.json"
         slow_path = tmp_path / "BENCH_slow.json"
-        slow_path.write_text(json.dumps(slow_doc))
-        assert main(["obs", "compare", bench_file, str(slow_path)]) == 1
+        write_telemetry(str(base_path), _timed_doc(registry))
+        write_telemetry(str(slow_path), _timed_doc(registry, factor=2.0))
+        assert main(["obs", "compare", str(base_path), str(slow_path)]) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
 

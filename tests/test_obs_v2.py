@@ -32,9 +32,15 @@ from repro.obs.export import (
     mergeable_snapshot,
     prometheus_text,
     snapshot_delta,
+)
+from repro.obs.registry import (
+    FP_SCALE,
+    Registry,
+    dist_state_stats,
+    fixed_point,
+    get_registry,
     timer_state_stats,
 )
-from repro.obs.registry import FP_SCALE, Registry, get_registry
 from repro.obs.sampler import (
     FLIGHT_SCHEMA,
     ExemplarSampler,
@@ -52,7 +58,12 @@ from repro.obs.slo import (
     format_statuses,
     load_slos,
 )
-from repro.obs.telemetry import build_telemetry, compare_telemetry, write_telemetry
+from repro.obs.telemetry import (
+    build_telemetry,
+    compare_telemetry,
+    load_telemetry,
+    write_telemetry,
+)
 from repro.serve.engine import DetectionEngine, EngineConfig, EngineRejected
 
 
@@ -279,17 +290,52 @@ class TestMergeProtocol:
         with pytest.raises(ValueError, match="mergeable snapshot"):
             merge_snapshots([{"timers": {}}])
 
-    def test_timer_state_stats_round_trip(self, registry):
-        for value in (0.010, 0.020, 0.030, 0.200):
-            registry.timer("stage").record(value)
-        state = mergeable_snapshot(registry)["timers"]["stage"]
-        stats = timer_state_stats(state)
+    def test_timer_state_stats_round_trip(self):
+        # One history of a timer, a counter and a distribution, split
+        # across two registries, against the same history in one.
+        values = (0.010, 0.020, 0.030, 0.200)
+        single, *shards = Registry("single"), Registry("a"), Registry("b")
+        for i, value in enumerate(values):
+            for reg in (single, shards[i % 2]):
+                reg.timer("stage").record(value)
+                reg.count("events", value)
+                reg.distribution("size").record(value * 100)
+        merged = merge_snapshots([mergeable_snapshot(r) for r in shards])
+        stats = timer_state_stats(merged["timers"]["stage"])
         assert stats["calls"] == 4
         assert stats["total_s"] == pytest.approx(0.260)
         assert stats["min_s"] == pytest.approx(0.010)
         assert stats["max_s"] == pytest.approx(0.200)
         # log-bucket percentiles: ~12% bucket-edge tolerance
         assert stats["p99_s"] == pytest.approx(0.200, rel=0.15)
+        dist = dist_state_stats(merged["distributions"]["size"])
+        assert dist["count"] == 4 and dist["total"] == pytest.approx(26.0)
+        assert (dist["min"], dist["max"]) == (1.0, 20.0)
+        events = merged["counters"]["events"]["value_fp"] / FP_SCALE
+        assert events == sum(fixed_point(v) for v in values) / FP_SCALE
+
+        # Every view reports exactly the stats derived from the merge.
+        snap = single.snapshot()
+        assert snap["timers"]["stage"] == stats
+        assert snap["distributions"]["size"] == dist
+        assert snap["counters"]["events"] == events
+        text = prometheus_text(single)
+        assert text == prometheus_text(snapshot=merged)
+        for line in (
+            f'repro_stage_duration_seconds_count{{stage="stage"}} 4',
+            f'repro_stage_duration_seconds_sum{{stage="stage"}} '
+            f'{stats["total_s"]:.9g}',
+            f'repro_stage_duration_seconds{{stage="stage",quantile="0.99"}} '
+            f'{stats["p99_s"]:.9g}',
+            f'repro_value_summary{{name="size",quantile="0.5"}} '
+            f'{dist["p50"]:.9g}',
+            f'repro_events_total{{name="events"}} {events:.9g}',
+        ):
+            assert line in text.splitlines()
+        doc = build_telemetry("split", registry=single)
+        for metric in ("p50_s", "mean_s", "total_s", "max_s"):
+            [row] = compare_telemetry(doc, doc, metric=metric).rows
+            assert row.baseline == row.current == stats[metric]
 
     def test_snapshot_delta_is_the_interval(self, registry):
         registry.timer("stage").record(0.010)
@@ -402,13 +448,30 @@ class TestSLOs:
         [status] = evaluate_telemetry([slo], self._doc(registry))
         assert not status.ok and status.burn > 1.0
 
-    def test_latency_stats_fallback_without_histogram(self):
-        doc = {"obs": {"timers": {"detect.total": {"p99_s": 0.6}}}}
+    def test_latency_on_stage_without_histogram_fails(self, registry):
+        registry.timer("detect.total").record(0.01)
+        doc = self._doc(registry)
+        doc["merge"]["timers"]["detect.total"]["hist"] = None
         slo = SLO(name="p99", kind="latency", stage="detect.total",
                   percentile=99.0, threshold_s=0.5)
         [status] = evaluate_telemetry([slo], doc)
         assert not status.ok
-        assert "p99" in status.detail
+        assert "no histogram" in status.detail
+
+    def test_shards_snapshot_is_gated_when_present(self, registry):
+        slo = SLO(name="shed", kind="ratio", bad=["cascade.shed"],
+                  total=["cascade.fast_path", "cascade.shed"],
+                  max_fraction=0.05)
+        registry.count("cascade.fast_path", 10)
+        doc = self._doc(registry)
+        workers = Registry("workers")
+        workers.count("cascade.shed", 5)
+        workers.count("cascade.fast_path", 5)
+        [driver] = evaluate_telemetry([slo], doc)
+        assert driver.ok
+        doc["shards"] = mergeable_snapshot(workers)
+        [sharded] = evaluate_telemetry([slo], doc)
+        assert not sharded.ok and sharded.value == pytest.approx(0.5)
 
     def test_missing_stage_is_ok_with_detail(self, registry):
         slo = SLO(name="p99", kind="latency", stage="never.recorded",
@@ -590,6 +653,7 @@ class TestSampler:
             trace_ids=["t0", None, "t1"])
         doc = json.loads(open(path).read())
         assert doc["reason"] == "engine_error"
+        assert doc["merge"]["schema"] == MERGE_SCHEMA
         assert {e["trace_id"] for e in doc["exemplars"]} == {"t0", "t1"}
         assert all(e["reason"] == "error" for e in doc["exemplars"])
 
@@ -707,8 +771,8 @@ class TestCompareGate:
     def test_missing_baseline_stage_fails(self, registry):
         doc = self._doc(registry)
         renamed = json.loads(json.dumps(doc))
-        renamed["obs"]["timers"]["detect.nms_v2"] = \
-            renamed["obs"]["timers"].pop("detect.nms")
+        renamed["merge"]["timers"]["detect.nms_v2"] = \
+            renamed["merge"]["timers"].pop("detect.nms")
         comparison = compare_telemetry(doc, renamed)
         assert comparison.missing == ["detect.nms"]
         assert not comparison.ok
@@ -720,12 +784,31 @@ class TestCompareGate:
         doc = self._doc(registry)
         grown = json.loads(json.dumps(doc))
         # a giant new stage would dominate an unscoped share normalizer
-        grown["obs"]["timers"]["huge.new"] = dict(
-            grown["obs"]["timers"]["detect.total"])
-        grown["obs"]["timers"]["huge.new"]["total_s"] = 1e6
+        grown["merge"]["timers"]["huge.new"] = dict(
+            grown["merge"]["timers"]["detect.total"])
+        grown["merge"]["timers"]["huge.new"]["total_ns"] = 10 ** 15
         scoped = compare_telemetry(doc, grown, metric="share",
                                    stages=["detect.total", "detect.nms"])
         assert scoped.ok
+
+    def test_percentile_against_stage_without_histogram_fails(self, registry):
+        doc = self._doc(registry)
+        stats_only = json.loads(json.dumps(doc))
+        stats_only["merge"]["timers"]["detect.nms"]["hist"] = None
+        comparison = compare_telemetry(stats_only, doc, metric="p50_s")
+        assert comparison.missing == ["detect.nms"]
+        assert not comparison.ok
+        assert "detect.nms" not in comparison.skipped
+        # totals survive without a histogram, so shares still compare
+        share = compare_telemetry(stats_only, doc, metric="share")
+        assert share.ok and not share.missing
+        assert "detect.nms" in {row.stage for row in share.rows}
+
+    def test_load_rejects_schema_1(self, registry, tmp_path):
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(json.dumps({"schema_version": 1, "obs": {}}))
+        with pytest.raises(ValueError, match="schema_version 1 "):
+            load_telemetry(str(path))
 
 
 # ----------------------------------------------------------------------
@@ -774,7 +857,7 @@ class TestObsV2Cli:
         base = tmp_path / "BENCH_base.json"
         write_telemetry(str(base), doc)
         current = json.loads(json.dumps(doc))
-        del current["obs"]["timers"]["detect.nms"]
+        del current["merge"]["timers"]["detect.nms"]
         cur = tmp_path / "BENCH_cur.json"
         cur.write_text(json.dumps(current))
         assert main(["obs", "compare", str(base), str(cur)]) == 1
@@ -786,7 +869,7 @@ class TestObsV2Cli:
         with registry.span("detect.total"):
             pass
         doc = build_telemetry("cli_drop", registry=registry)
-        doc["obs"]["dropped_spans"] = 17
+        doc["merge"]["dropped_spans"] = 17
         path = tmp_path / "BENCH_drop.json"
         path.write_text(json.dumps(doc))
         assert main(["obs", "report", str(path)]) == 0
